@@ -8,7 +8,7 @@ import os
 import sys
 
 from .dsl import run_session
-from .errors import DslSyntaxError
+from .errors import DslSyntaxError, RhoError
 
 
 def _default_truncation() -> int:
@@ -54,6 +54,11 @@ def main(argv=None) -> int:
         reports, ok = run_session(text, trunc)
     except DslSyntaxError as e:
         print(f"rhocalc: syntax error: {e}", file=sys.stderr)
+        return 2
+    except RhoError as e:
+        # raised while parsing (the runner reports every statement's own
+        # errors), e.g. by a literal the model rejects such as Z/1
+        print(f"rhocalc: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     if args.as_json:
         doc = {"schema": 1, "reports": [r.payload() for r in reports]}

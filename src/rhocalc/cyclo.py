@@ -232,7 +232,11 @@ class Cyclo:
     # -- printing ----------------------------------------------------------
 
     def text(self) -> str:
-        """Canonical text form, e.g. '1/2 - zeta(8)^3'."""
+        """Text form in the stored conductor, e.g. '1/2 - zeta(8)^3'.
+
+        Not canonical: equal values print differently when the arithmetic
+        that made them lifted to different conductors (zeta(4) times
+        zeta(8)/zeta(8) prints as zeta(8)^2)."""
         parts = []
         for k, c in enumerate(self.coeffs):
             if c == 0:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .algebra import Context, GradedPoly, rho_commutator
 from .cyclo import Cyclo
 from .derivation import Derivation, commutator, is_homological
-from .errors import DslSyntaxError, ResolveError, RhoError
+from .errors import BadParameter, DslSyntaxError, ResolveError, RhoError
 from .geometry import (Atlas, Chart, TransitionMap, cartan_report,
                        chain_rule_check, cocycle_check, cotangent_bundle,
                        de_rham, jacobian, make_chart, schouten,
@@ -28,15 +28,39 @@ from .scenarios import (builtin_scenarios, cstar_scenario, derham_scenario,
                         shifted_cotangent_scenario, torus_scenario)
 from .volume import VolumeForm, divergence, modular_class, volumes_equivalent
 
-KEYWORDS = {"group", "factor", "trunc", "chart", "transition", "derivation",
-            "matrix", "volume", "derham", "cotangent", "bundle",
-            "normalize", "commutator", "det", "ber", "trace", "qcheck",
-            "cartan", "schouten", "jacobian", "cocycle", "divergence",
-            "modular", "equivalent", "scenarios"}
-
 COMMANDS = {"normalize", "commutator", "det", "ber", "trace", "qcheck",
             "cartan", "schouten", "jacobian", "cocycle", "divergence",
             "modular", "equivalent", "scenarios"}
+
+KEYWORDS = COMMANDS | {"group", "factor", "trunc", "chart", "transition",
+                       "derivation", "matrix", "volume", "derham",
+                       "cotangent", "bundle"}
+
+# Fixed-shape statements.  After the keyword, a string is a literal token and
+# a tuple (key, kind[, expected]) reads one field of that kind (a key of
+# Parser.FIELDS) into the statement record; a name field that is missing is
+# reported as `expected` (default "a name").
+_CHART = ("ctx", "name", "a chart name")
+SHAPES = {
+    "derham": (("name", "name", "a chart name"), "of",
+               ("base", "name", "a chart name"), ";"),
+    "cotangent": (("name", "name", "a chart name"), "of",
+                  ("base", "name", "a chart name"), "deg", ("shift", "deg"),
+                  ";"),
+    "matrix": (("name", "name", "a matrix name"), "on", _CHART,
+               "deg", ("degree", "deg"), "rows", ("rows", "degs"),
+               "cols", ("cols", "degs"), "=", ("grid", "grid"), ";"),
+    "volume": (("name", "name", "a volume name"), "on", _CHART,
+               "=", ("density", "poly"), ";"),
+    "normalize": (("expr", "poly"), "on", _CHART, ";"),
+    "cartan": (("a", "name"), ("b", "name"), "on", _CHART, ";"),
+    "schouten": ("on", ("sc", "name", "a cotangent chart name"), ":",
+                 ("f", "poly"), ",", ("g", "poly"), ";"),
+    "divergence": (("q", "name"), ("vol", "name"), ";"),
+    "equivalent": (("a", "name"), ("b", "name"), ";"),
+    **{kw: (("target", "name"), ";")
+       for kw in ("det", "ber", "trace", "jacobian", "cocycle")},
+}
 
 
 @dataclass
@@ -117,7 +141,6 @@ class PZeta:
 
 @dataclass
 class PName:
-    name: str
     tok: Tok
 
 
@@ -174,47 +197,47 @@ class Parser:
         self.next()
         return -int(t.text) if neg else int(t.text)
 
+    def checked_integer(self, ok, what: str) -> int:
+        """An integer literal; one failing `ok` is reported at its first token."""
+        t = self.peek()
+        value = self.integer()
+        if not ok(value):
+            raise DslSyntaxError(t.line, t.col, what)
+        return value
+
     def rational(self) -> Fraction:
         num = self.integer()
         if self.accept("/"):
-            den = self.integer()
-            return Fraction(num, den)
+            return Fraction(num, self.checked_integer(bool, "a nonzero denominator"))
         return Fraction(num)
 
     # -- shared literals
 
+    def items(self, item, close: str) -> list:
+        """item (',' item)* close"""
+        out = [item()]
+        while self.accept(","):
+            out.append(item())
+        self.expect(close)
+        return out
+
     def degree_literal(self) -> tuple[int, ...]:
         self.expect("(")
-        parts = []
-        if not self.accept(")"):
-            parts.append(self.integer())
-            while self.accept(","):
-                parts.append(self.integer())
-            self.expect(")")
-        return tuple(parts)
+        if self.accept(")"):
+            return ()
+        return tuple(self.items(self.integer, ")"))
 
     def degree_tuple_literal(self) -> list[tuple[int, ...]]:
         self.expect("(")
-        out = [self.degree_literal()]
-        while self.accept(","):
-            out.append(self.degree_literal())
-        self.expect(")")
-        return out
+        return self.items(self.degree_literal, ")")
 
-    def rational_matrix(self) -> list[list[Fraction]]:
-        self.expect("[")
-        rows = []
-        while True:
+    def grid(self, item) -> list[list]:
+        """'[' '[' item, ... ']', ... ']'"""
+        def row():
             self.expect("[")
-            row = [self.rational()]
-            while self.accept(","):
-                row.append(self.rational())
-            self.expect("]")
-            rows.append(row)
-            if not self.accept(","):
-                break
-        self.expect("]")
-        return rows
+            return self.items(item, "]")
+        self.expect("[")
+        return self.items(row, "]")
 
     # -- polynomial expressions
 
@@ -255,13 +278,17 @@ class Parser:
             if t.text == "zeta":
                 self.next()
                 self.expect("(")
-                n = self.integer()
+                n = self.checked_integer(lambda n: n > 0, "a positive zeta order")
                 self.expect(")")
                 return PZeta(n)
-            return PName(self.next().text, t)
+            return PName(self.next())
         self.fail("a polynomial atom")
 
     # -- statements
+
+    FIELDS = {"name": name, "poly": poly_expr, "deg": degree_literal,
+              "degs": degree_tuple_literal,
+              "grid": lambda self: self.grid(self.poly_expr)}
 
     def parse_session(self) -> list[dict]:
         stmts = []
@@ -274,24 +301,33 @@ class Parser:
         if t.kind != "name" or t.text not in KEYWORDS:
             self.fail("a declaration or command keyword")
         start = self.pos
-        method = getattr(self, f"stmt_{t.text}")
         self.next()
-        st = method()
+        if t.text in SHAPES:
+            st = self.shape(SHAPES[t.text])
+        else:
+            st = getattr(self, f"stmt_{t.text}")()
         st["kind"] = t.text
         st["line"], st["col"] = t.line, t.col
         st["echo"] = self._echo(start)
         return st
 
-    def _echo(self, start: int) -> str:
-        words = []
-        for tok in self.toks[start:self.pos]:
-            words.append(tok.text)
-        out = ""
-        for w in words:
-            if out and (out[-1].isalnum() or out[-1] == "_") and (w[0].isalnum() or w[0] == "_"):
-                out += " " + w
+    def shape(self, items) -> dict:
+        st = {}
+        for item in items:
+            if isinstance(item, str):
+                self.expect(item)
             else:
-                out += w
+                key, kind, *what = item
+                st[key] = self.FIELDS[kind](self, *what)
+        return st
+
+    def _echo(self, start: int) -> str:
+        out = ""
+        for tok in self.toks[start:self.pos]:
+            w = tok.text
+            if out and (out[-1].isalnum() or out[-1] == "_") and (w[0].isalnum() or w[0] == "_"):
+                out += " "
+            out += w
         return out
 
     def group_expr(self) -> GroupSpec:
@@ -325,9 +361,9 @@ class Parser:
         if t.text in ("super", "trivial"):
             pass
         elif t.text == "torus":
-            st["matrix"] = self.rational_matrix()
+            st["matrix"] = self.grid(self.rational)
         elif t.text == "phases":
-            st["matrix"] = self.rational_matrix()
+            st["matrix"] = self.grid(self.rational)
             if self.accept("on"):
                 st["on_group"] = self.group_expr()
         else:
@@ -336,17 +372,16 @@ class Parser:
         return st
 
     def stmt_trunc(self):
-        t = self.peek()
-        if t.text == "none":
-            self.next()
+        if self.accept("none"):
             val = None
         else:
-            val = self.integer()
+            val = self.checked_integer(lambda v: v >= 0,
+                                       "a nonnegative truncation order")
         self.expect(";")
         return {"value": val}
 
     def stmt_chart(self):
-        cname = self.name("a chart name").text
+        name = self.name("a chart name")
         self.expect("{")
         coords = []
         while not self.accept("}"):
@@ -363,26 +398,10 @@ class Parser:
             else:
                 raise DslSyntaxError(t.line, t.col, "'base' or 'formal'")
             self.expect(";")
-        return {"name": cname, "coords": coords}
-
-    def stmt_derham(self):
-        nm = self.name("a chart name").text
-        self.expect("of")
-        base = self.name("a chart name")
-        self.expect(";")
-        return {"name": nm, "base": base.text, "base_tok": base}
-
-    def stmt_cotangent(self):
-        nm = self.name("a chart name").text
-        self.expect("of")
-        base = self.name("a chart name")
-        self.expect("deg")
-        deg = self.degree_literal()
-        self.expect(";")
-        return {"name": nm, "base": base.text, "base_tok": base, "shift": deg}
+        return {"name": name, "coords": coords}
 
     def stmt_transition(self):
-        nm = self.name("a transition name").text
+        name = self.name("a transition name")
         self.expect(":")
         a = self.name("a chart name")
         self.expect("->")
@@ -395,10 +414,10 @@ class Parser:
             expr = self.poly_expr()
             self.expect(";")
             images.append((v, expr))
-        return {"name": nm, "source": a, "target": b, "images": images}
+        return {"name": name, "source": a, "target": b, "images": images}
 
     def stmt_derivation(self):
-        nm = self.name("a derivation name").text
+        name = self.name("a derivation name")
         self.expect("on")
         ctx_tok = self.name("a chart name")
         deg = None
@@ -412,19 +431,16 @@ class Parser:
                 expr = self.poly_expr()
                 self.expect(";")
                 comps.append((v, expr))
-            return {"name": nm, "ctx": ctx_tok, "degree": deg, "components": comps}
+            return {"name": name, "ctx": ctx_tok, "degree": deg, "components": comps}
         self.expect("=")
-        comps = []
-        while True:
-            expr = self.poly_term_until_dd()
-            comps.append(expr)
-            if not self.accept("+"):
-                break
+        comps = [self.poly_term_until_dd()]
+        while self.accept("+"):
+            comps.append(self.poly_term_until_dd())
         self.expect(";")
-        return {"name": nm, "ctx": ctx_tok, "degree": deg, "sum_form": comps}
+        return {"name": name, "ctx": ctx_tok, "degree": deg, "sum_form": comps}
 
     def poly_term_until_dd(self):
-        """<poly factor chain> * d/d<var>; the coefficient may be empty."""
+        """<poly factor chain> * d/d<var> as (d<var> token, coefficient or None)."""
         coeff = None
         while True:
             t = self.peek()
@@ -434,73 +450,26 @@ class Parser:
                 vtok = self.name("d<var>")
                 if not vtok.text.startswith("d"):
                     raise DslSyntaxError(vtok.line, vtok.col, "d<var>")
-                return {"coeff": coeff, "var": vtok.text[1:], "var_tok": vtok}
+                return vtok, coeff
             f = self.poly_factor()
             coeff = f if coeff is None else POp("mul", (coeff, f))
             if not self.accept("*"):
                 self.fail("'*' or d/d<var>")
 
-    def stmt_matrix(self):
-        nm = self.name("a matrix name").text
-        self.expect("on")
-        ctx_tok = self.name("a chart name")
-        self.expect("deg")
-        deg = self.degree_literal()
-        self.expect("rows")
-        rows = self.degree_tuple_literal()
-        self.expect("cols")
-        cols = self.degree_tuple_literal()
-        self.expect("=")
-        self.expect("[")
-        grid = []
-        while True:
-            self.expect("[")
-            row = [self.poly_expr()]
-            while self.accept(","):
-                row.append(self.poly_expr())
-            self.expect("]")
-            grid.append(row)
-            if not self.accept(","):
-                break
-        self.expect("]")
-        self.expect(";")
-        return {"name": nm, "ctx": ctx_tok, "degree": deg, "rows": rows,
-                "cols": cols, "grid": grid}
-
-    def stmt_volume(self):
-        nm = self.name("a volume name").text
-        self.expect("on")
-        ctx_tok = self.name("a chart name")
-        self.expect("=")
-        expr = self.poly_expr()
-        self.expect(";")
-        return {"name": nm, "ctx": ctx_tok, "density": expr}
-
     def stmt_bundle(self):
-        nm = self.name("a bundle name").text
+        name = self.name("a bundle name")
         self.expect("=")
         kindtok = self.name("'tangent' or 'cotangent'")
         if kindtok.text not in ("tangent", "cotangent"):
             raise DslSyntaxError(kindtok.line, kindtok.col, "'tangent' or 'cotangent'")
         self.expect("(")
-        charts = [self.name("a chart name")]
-        while self.accept(","):
-            charts.append(self.name("a chart name"))
-        self.expect(")")
+        charts = self.items(lambda: self.name("a chart name"), ")")
         self.expect(";")
-        return {"name": nm, "bundle_kind": kindtok.text, "charts": charts}
+        return {"name": name, "bundle_kind": kindtok.text, "charts": charts}
 
     # -- commands
 
-    def stmt_normalize(self):
-        expr = self.poly_expr()
-        self.expect("on")
-        ctx_tok = self.name("a chart name")
-        self.expect(";")
-        return {"expr": expr, "ctx": ctx_tok}
-
     def stmt_commutator(self):
-        save = self.pos
         t1 = self.peek()
         if t1.kind == "name" and t1.text != "zeta" \
                 and self.toks[self.pos + 1].kind == "name":
@@ -508,7 +477,6 @@ class Parser:
             b = self.name()
             self.expect(";")
             return {"form": "derivations", "a": a, "b": b}
-        self.pos = save
         f = self.poly_expr()
         self.expect(",")
         g = self.poly_expr()
@@ -516,20 +484,6 @@ class Parser:
         ctx_tok = self.name("a chart name")
         self.expect(";")
         return {"form": "polys", "f": f, "g": g, "ctx": ctx_tok}
-
-    def _single_name(self):
-        t = self.name()
-        self.expect(";")
-        return {"target": t}
-
-    def stmt_det(self):
-        return self._single_name()
-
-    def stmt_ber(self):
-        return self._single_name()
-
-    def stmt_trace(self):
-        return self._single_name()
 
     def stmt_qcheck(self):
         t = self.name("a derivation name")
@@ -541,39 +495,9 @@ class Parser:
             chart = self.name("a chart name")
             self.expect(")")
             self.expect(";")
-            return {"form": "derham", "chart": chart}
+            return {"form": "derham", "ctx": chart}
         self.expect(";")
         return {"form": "named", "target": t}
-
-    def stmt_cartan(self):
-        a = self.name()
-        b = self.name()
-        self.expect("on")
-        chart = self.name("a chart name")
-        self.expect(";")
-        return {"a": a, "b": b, "chart": chart}
-
-    def stmt_schouten(self):
-        self.expect("on")
-        sc = self.name("a cotangent chart name")
-        self.expect(":")
-        f = self.poly_expr()
-        self.expect(",")
-        g = self.poly_expr()
-        self.expect(";")
-        return {"sc": sc, "f": f, "g": g}
-
-    def stmt_jacobian(self):
-        return self._single_name()
-
-    def stmt_cocycle(self):
-        return self._single_name()
-
-    def stmt_divergence(self):
-        q = self.name()
-        v = self.name()
-        self.expect(";")
-        return {"q": q, "vol": v}
 
     def stmt_modular(self):
         q = self.name()
@@ -583,12 +507,6 @@ class Parser:
             bound = self.integer()
         self.expect(";")
         return {"q": q, "vol": v, "bound": bound}
-
-    def stmt_equivalent(self):
-        a = self.name()
-        b = self.name()
-        self.expect(";")
-        return {"a": a, "b": b}
 
     def stmt_scenarios(self):
         which = self.name("a scenario name").text
@@ -627,7 +545,6 @@ class Session:
     group: GroupSpec | None = None
     factor: CommutationFactor | None = None
     charts: dict[str, Chart] = field(default_factory=dict)
-    derhams: dict[str, object] = field(default_factory=dict)
     stars: dict[str, object] = field(default_factory=dict)
     transitions: dict[str, TransitionMap] = field(default_factory=dict)
     derivations: dict[str, Derivation] = field(default_factory=dict)
@@ -635,10 +552,12 @@ class Session:
     volumes: dict[str, VolumeForm] = field(default_factory=dict)
     bundles: dict[str, object] = field(default_factory=dict)
 
-    def chart(self, tok: Tok) -> Chart:
-        if tok.text not in self.charts:
+    def lookup(self, kind: str, tok: Tok):
+        """The object declared under tok's text in the table `kind`."""
+        table = getattr(self, kind)
+        if tok.text not in table:
             raise ResolveError(tok.text)
-        return self.charts[tok.text]
+        return table[tok.text]
 
     def need_factor(self) -> CommutationFactor:
         if self.factor is None:
@@ -651,15 +570,23 @@ class Session:
         return self.group.degree(*parts)
 
 
+def _coord_index(ctx: Context, tok: Tok, name: str | None = None) -> int:
+    """Index of coordinate `name` (default: tok's text) in ctx; an unknown
+    one is reported under tok's text, so d/dx names its dx token."""
+    name = tok.text if name is None else name
+    if not ctx.has(name):
+        raise ResolveError(tok.text)
+    return ctx.index(name)
+
+
 def eval_poly(node, ctx: Context) -> GradedPoly:
     if isinstance(node, PNum):
         return ctx.scalar(node.value)
     if isinstance(node, PZeta):
         return ctx.scalar(Cyclo.root_of_unity(node.conductor))
     if isinstance(node, PName):
-        if not ctx.has(node.name):
-            raise ResolveError(node.name)
-        return ctx.gen(node.name)
+        _coord_index(ctx, node.tok)
+        return ctx.gen(node.tok.text)
     if isinstance(node, POp):
         if node.op == "add":
             return eval_poly(node.args[0], ctx) + eval_poly(node.args[1], ctx)
@@ -677,19 +604,29 @@ def eval_poly(node, ctx: Context) -> GradedPoly:
     raise RhoError(f"bad expression node {node!r}")
 
 
+def _coordinates(ctx: Context) -> list:
+    return [(v.name, v.degree.text(), v.kind) for v in ctx.variables]
+
+
+def _components(ctx: Context, comps: dict) -> dict:
+    return {ctx.variables[a].name: p.text() for a, p in sorted(comps.items())}
+
+
+# parameters each built-in scenario accepts
+_SCENARIO_PARAMS = {"torus": ("m", "theta12"), "derham": (), "cstar": (),
+                    "shift": (), "all": ()}
+
+
 class Runner:
     def __init__(self, truncation: int | None = 8):
         self.session = Session(truncation=truncation)
         self.reports: list[Report] = []
         self.failed = False
 
-    # each chart-like declaration registers its context under its name
-
     def run(self, statements: list[dict]) -> list[Report]:
         for st in statements:
             kind = st["kind"]
             handler = getattr(self, f"exec_{kind}")
-            is_command = kind in COMMANDS
             try:
                 result = handler(st)
                 self.reports.append(Report(st["echo"], True, result,
@@ -698,10 +635,9 @@ class Runner:
                 info = {"error": type(e).__name__, "message": str(e),
                         "line": st["line"], "col": st["col"]}
                 self.reports.append(Report(st["echo"], False, info, self._diag()))
-                if not is_command:
-                    self.failed = True
-                    break
                 self.failed = True
+                if kind not in COMMANDS:
+                    break
         return self.reports
 
     def _diag(self) -> dict:
@@ -709,7 +645,7 @@ class Runner:
         return {"truncation": s.truncation,
                 "conductor": s.factor.conductor if s.factor else 1}
 
-    # -- declarations
+    # -- declarations; each chart-like one registers its chart under its name
 
     def exec_group(self, st):
         self.session.group = st["group"]
@@ -744,84 +680,72 @@ class Runner:
 
     def exec_chart(self, st):
         s = self.session
+        name = st["name"].text
         fac = s.need_factor()
         coords = []
         for c in st["coords"]:
             deg = fac.group.zero() if c["degree"] is None else s.degree(c["degree"])
             coords.append((c["name"], deg, c["invertible"]))
-        chart = make_chart(st["name"], fac, coords, truncation=s.truncation)
-        s.charts[st["name"]] = chart
-        return {"declared": "chart", "name": st["name"],
-                "coordinates": [(v.name, v.degree.text(), v.kind)
-                                for v in chart.ctx.variables]}
+        chart = make_chart(name, fac, coords, truncation=s.truncation)
+        s.charts[name] = chart
+        return {"declared": "chart", "name": name,
+                "coordinates": _coordinates(chart.ctx)}
 
     def exec_derham(self, st):
         s = self.session
-        base = s.chart(st["base_tok"])
-        dr = de_rham(base)
-        chart = Chart(st["name"], dr.chart.ctx)
-        s.charts[st["name"]] = chart
-        s.derhams[st["name"]] = dr
-        s.derivations[f"d_{st['name']}"] = dr.differential
-        return {"declared": "derham", "name": st["name"],
-                "differential": f"d_{st['name']}",
-                "coordinates": [(v.name, v.degree.text(), v.kind)
-                                for v in dr.chart.ctx.variables]}
+        name = st["name"].text
+        dr = de_rham(s.lookup("charts", st["base"]))
+        s.charts[name] = Chart(name, dr.chart.ctx)
+        s.derivations[f"d_{name}"] = dr.differential
+        return {"declared": "derham", "name": name,
+                "differential": f"d_{name}",
+                "coordinates": _coordinates(dr.chart.ctx)}
 
     def exec_cotangent(self, st):
         s = self.session
-        base = s.chart(st["base_tok"])
+        name = st["name"].text
+        base = s.lookup("charts", st["base"])
         shift = base.ctx.factor.group.degree(*st["shift"])
         sc = shifted_cotangent(base, shift)
-        chart = Chart(st["name"], sc.chart.ctx)
-        s.charts[st["name"]] = chart
-        s.stars[st["name"]] = sc
-        return {"declared": "cotangent", "name": st["name"],
+        s.charts[name] = Chart(name, sc.chart.ctx)
+        s.stars[name] = sc
+        return {"declared": "cotangent", "name": name,
                 "shift": shift.text(),
-                "coordinates": [(v.name, v.degree.text(), v.kind)
-                                for v in sc.chart.ctx.variables]}
+                "coordinates": _coordinates(sc.chart.ctx)}
 
     def exec_transition(self, st):
         s = self.session
-        src = s.chart(st["source"])
-        tgt = s.chart(st["target"])
+        name = st["name"].text
+        src = s.lookup("charts", st["source"])
+        tgt = s.lookup("charts", st["target"])
         images = {}
         for vtok, expr in st["images"]:
-            if not tgt.ctx.has(vtok.text):
-                raise ResolveError(vtok.text)
-            images[tgt.ctx.index(vtok.text)] = eval_poly(expr, src.ctx)
-        t = TransitionMap(src, tgt, images)
-        s.transitions[st["name"]] = t
-        return {"declared": "transition", "name": st["name"],
+            a = _coord_index(tgt.ctx, vtok)
+            images[a] = eval_poly(expr, src.ctx)
+        s.transitions[name] = TransitionMap(src, tgt, images)
+        return {"declared": "transition", "name": name,
                 "source": src.name, "target": tgt.name}
 
     def exec_derivation(self, st):
         s = self.session
-        chart = s.chart(st["ctx"])
-        ctx = chart.ctx
+        name = st["name"].text
+        ctx = s.lookup("charts", st["ctx"]).ctx
         comps: dict[int, GradedPoly] = {}
         if "components" in st:
             for vtok, expr in st["components"]:
-                if not ctx.has(vtok.text):
-                    raise ResolveError(vtok.text)
-                comps[ctx.index(vtok.text)] = eval_poly(expr, ctx)
+                a = _coord_index(ctx, vtok)
+                comps[a] = eval_poly(expr, ctx)
         else:
-            for item in st["sum_form"]:
-                vtok = item["var_tok"]
-                vname = item["var"]
-                if not ctx.has(vname):
-                    raise ResolveError(vtok.text)
-                coeff = (ctx.one() if item["coeff"] is None
-                         else eval_poly(item["coeff"], ctx))
-                a = ctx.index(vname)
+            for vtok, expr in st["sum_form"]:
+                a = _coord_index(ctx, vtok, vtok.text[1:])
+                coeff = ctx.one() if expr is None else eval_poly(expr, ctx)
                 comps[a] = comps.get(a, ctx.zero()) + coeff
         degree = self._derivation_degree(st, ctx, comps)
-        der = Derivation(ctx, degree, comps, st["name"])
-        s.derivations[st["name"]] = der
-        return {"declared": "derivation", "name": st["name"],
+        der = Derivation(ctx, degree, comps, name)
+        s.derivations[name] = der
+        return {"declared": "derivation", "name": name,
                 "degree": degree.text(),
-                "components": {ctx.variables[a].name: p.text()
-                               for a, p in sorted(der.components.items())}}
+                "components": _components(ctx, der.components)}
 
     def _derivation_degree(self, st, ctx, comps) -> Degree:
         if st["degree"] is not None:
@@ -833,32 +757,33 @@ class Runner:
 
     def exec_matrix(self, st):
         s = self.session
-        chart = s.chart(st["ctx"])
-        ctx = chart.ctx
+        name = st["name"].text
+        ctx = s.lookup("charts", st["ctx"]).ctx
         g = ctx.factor.group
         rows = tuple(g.degree(*d) for d in st["rows"])
         cols = tuple(g.degree(*d) for d in st["cols"])
         degree = g.degree(*st["degree"])
         grid = [[eval_poly(e, ctx) for e in row] for row in st["grid"]]
         m = GradedMatrix(ctx, rows, cols, degree, grid)
-        s.matrices[st["name"]] = m
-        return {"declared": "matrix", "name": st["name"],
+        s.matrices[name] = m
+        return {"declared": "matrix", "name": name,
                 "rows": [d.text() for d in rows],
                 "cols": [d.text() for d in cols], "degree": degree.text(),
                 "entries": m.text()}
 
     def exec_volume(self, st):
         s = self.session
-        chart = s.chart(st["ctx"])
+        name = st["name"].text
+        chart = s.lookup("charts", st["ctx"])
         density = eval_poly(st["density"], chart.ctx)
-        vol = VolumeForm.on_chart(chart, density)
-        s.volumes[st["name"]] = vol
-        return {"declared": "volume", "name": st["name"],
+        s.volumes[name] = VolumeForm.on_chart(chart, density)
+        return {"declared": "volume", "name": name,
                 "chart": chart.name, "density": density.text()}
 
     def exec_bundle(self, st):
         s = self.session
-        charts = [s.chart(t) for t in st["charts"]]
+        name = st["name"].text
+        charts = [s.lookup("charts", t) for t in st["charts"]]
         atlas = Atlas()
         for c in charts:
             atlas.charts[c.name] = c
@@ -868,15 +793,15 @@ class Runner:
                 atlas.maps[(t.source.name, t.target.name)] = t
         bundle = (tangent_bundle(atlas) if st["bundle_kind"] == "tangent"
                   else cotangent_bundle(atlas))
-        s.bundles[st["name"]] = bundle
-        return {"declared": "bundle", "name": st["name"],
+        s.bundles[name] = bundle
+        return {"declared": "bundle", "name": name,
                 "kind": st["bundle_kind"],
                 "fibers": [d.text() for d in bundle.fiber_degrees]}
 
     # -- commands
 
     def exec_normalize(self, st):
-        chart = self.session.chart(st["ctx"])
+        chart = self.session.lookup("charts", st["ctx"])
         value = eval_poly(st["expr"], chart.ctx)
         degs = value.degrees()
         return {"value": value.text(),
@@ -886,47 +811,28 @@ class Runner:
     def exec_commutator(self, st):
         s = self.session
         if st["form"] == "derivations":
-            a, b = st["a"], st["b"]
-            if a.text not in s.derivations:
-                raise ResolveError(a.text)
-            if b.text not in s.derivations:
-                raise ResolveError(b.text)
-            x, y = s.derivations[a.text], s.derivations[b.text]
+            x = s.lookup("derivations", st["a"])
+            y = s.lookup("derivations", st["b"])
             z = commutator(x, y)
-            ctx = z.ctx
             return {"degree": z.degree.text(),
-                    "components": {ctx.variables[k].name: p.text()
-                                   for k, p in sorted(z.components.items())}}
-        chart = s.chart(st["ctx"])
+                    "components": _components(z.ctx, z.components)}
+        chart = s.lookup("charts", st["ctx"])
         f = eval_poly(st["f"], chart.ctx)
         g = eval_poly(st["g"], chart.ctx)
         return {"value": rho_commutator(f, g).text()}
 
-    def _matrix(self, tok: Tok) -> GradedMatrix:
-        if tok.text not in self.session.matrices:
-            raise ResolveError(tok.text)
-        return self.session.matrices[tok.text]
-
     def exec_det(self, st):
-        return {"value": rho_det(self._matrix(st["target"])).text()}
+        invariant = {"det": rho_det, "ber": rho_ber, "trace": rho_tr}[st["kind"]]
+        return {"value": invariant(self.session.lookup("matrices", st["target"])).text()}
 
-    def exec_ber(self, st):
-        return {"value": rho_ber(self._matrix(st["target"])).text()}
-
-    def exec_trace(self, st):
-        return {"value": rho_tr(self._matrix(st["target"])).text()}
+    exec_ber = exec_trace = exec_det
 
     def exec_qcheck(self, st):
         s = self.session
         if st["form"] == "derham":
-            base = s.chart(st["chart"])
-            dr = de_rham(base)
-            q = dr.differential
+            q = de_rham(s.lookup("charts", st["ctx"])).differential
         else:
-            tok = st["target"]
-            if tok.text not in s.derivations:
-                raise ResolveError(tok.text)
-            q = s.derivations[tok.text]
+            q = s.lookup("derivations", st["target"])
         check = is_homological(q)
         out = {"homological": check.homological}
         if not check.homological:
@@ -938,64 +844,43 @@ class Runner:
 
     def exec_cartan(self, st):
         s = self.session
-        chart = s.chart(st["chart"])
-        for tok in (st["a"], st["b"]):
-            if tok.text not in s.derivations:
-                raise ResolveError(tok.text)
-        rep = cartan_report(chart, s.derivations[st["a"].text],
-                            s.derivations[st["b"].text])
-        return rep
+        chart = s.lookup("charts", st["ctx"])
+        a = s.lookup("derivations", st["a"])
+        b = s.lookup("derivations", st["b"])
+        return cartan_report(chart, a, b)
 
     def exec_schouten(self, st):
-        s = self.session
-        if st["sc"].text not in s.stars:
-            raise ResolveError(st["sc"].text)
-        sc = s.stars[st["sc"].text]
+        sc = self.session.lookup("stars", st["sc"])
         f = eval_poly(st["f"], sc.chart.ctx)
         g = eval_poly(st["g"], sc.chart.ctx)
-        value = schouten(sc, f, g)
-        return {"value": value.text()}
+        return {"value": schouten(sc, f, g).text()}
 
     def exec_jacobian(self, st):
-        s = self.session
-        if st["target"].text not in s.transitions:
-            raise ResolveError(st["target"].text)
-        t = s.transitions[st["target"].text]
+        t = self.session.lookup("transitions", st["target"])
         jac = jacobian(t)
         chain = chain_rule_check(t)
         return {"matrix": jac.text(), "chain_rule_ok": chain["ok"]}
 
     def exec_cocycle(self, st):
-        s = self.session
-        if st["target"].text not in s.bundles:
-            raise ResolveError(st["target"].text)
-        return cocycle_check(s.bundles[st["target"].text])
-
-    def _q_and_vol(self, st):
-        s = self.session
-        if st["q"].text not in s.derivations:
-            raise ResolveError(st["q"].text)
-        if st["vol"].text not in s.volumes:
-            raise ResolveError(st["vol"].text)
-        return s.derivations[st["q"].text], s.volumes[st["vol"].text]
+        return cocycle_check(self.session.lookup("bundles", st["target"]))
 
     def exec_divergence(self, st):
-        q, vol = self._q_and_vol(st)
-        divs = divergence(q, vol)
+        s = self.session
+        divs = divergence(s.lookup("derivations", st["q"]),
+                          s.lookup("volumes", st["vol"]))
         return {name: p.text() for name, p in sorted(divs.items())}
 
     def exec_modular(self, st):
-        q, vol = self._q_and_vol(st)
+        s = self.session
+        q = s.lookup("derivations", st["q"])
+        vol = s.lookup("volumes", st["vol"])
         bound = st["bound"] if st["bound"] is not None else 8
         return modular_class(q, vol, bound).payload()
 
     def exec_equivalent(self, st):
         s = self.session
-        for tok in (st["a"], st["b"]):
-            if tok.text not in s.volumes:
-                raise ResolveError(tok.text)
-        flag, h = volumes_equivalent(s.volumes[st["a"].text],
-                                     s.volumes[st["b"].text])
+        flag, h = volumes_equivalent(s.lookup("volumes", st["a"]),
+                                     s.lookup("volumes", st["b"]))
         out = {"equivalent": flag}
         if flag and h is not None:
             out["witness"] = h.text() if isinstance(h, GradedPoly) else {
@@ -1005,19 +890,24 @@ class Runner:
     def exec_scenarios(self, st):
         which = st["which"]
         params = st["params"]
+        if which not in _SCENARIO_PARAMS:
+            raise ResolveError(which)
+        for key in params:
+            if key not in _SCENARIO_PARAMS[which]:
+                raise BadParameter(f"scenario {which} has no parameter {key}")
         if which == "torus":
-            m = int(params.get("m", 2))
+            m = params.get("m", 2)
+            if m < 0 or m.denominator != 1:
+                raise BadParameter(f"m must be a nonnegative integer, got {m}")
             theta12 = params.get("theta12", Fraction(1, 4))
-            return torus_scenario(m=m, theta12=theta12)[0]
+            return torus_scenario(m=int(m), theta12=theta12)[0]
         if which == "derham":
             return derham_scenario()[0]
         if which == "cstar":
             return cstar_scenario()[0]
         if which == "shift":
             return shifted_cotangent_scenario()[0]
-        if which == "all":
-            return builtin_scenarios()
-        raise ResolveError(which)
+        return builtin_scenarios()
 
 
 def _super_like_phases(group: GroupSpec):

@@ -87,6 +87,10 @@ class OverlapMismatch(RhoError):
     """Chartwise data disagree on an overlap."""
 
 
+class BadParameter(RhoError):
+    """A command parameter is unknown or out of its range."""
+
+
 class DslSyntaxError(RhoError):
     """Session text failed to parse; carries a source span."""
 

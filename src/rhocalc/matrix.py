@@ -379,7 +379,10 @@ def rho_ber(f: GradedMatrix) -> GradedPoly:
     f11 = f.submatrix(od, od)
     try:
         f11_inv = inverse(f11)
-        inverse(f00)
+        # f00 is invertible iff the determinant of its filtration-free part
+        # is a Laurent unit, the test inverse() makes
+        free00 = f00.map_entries(lambda e: e.i_free_part())
+        _classical_det(ctx, free00).invert()
     except NotInvertible:
         return ctx.zero()
     schur = f00 - f01 @ f11_inv @ f10 if od else f00

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import rhocalc
+from rhocalc import cli
 from rhocalc.algebra import poly_text
-from rhocalc.dsl import Parser, Runner, eval_poly, parse_session, run_session
+from rhocalc.dsl import (Parser, Runner, eval_poly, parse_session, run_session,
+                         tokenize)
 from rhocalc.errors import DslSyntaxError
 
 from conftest import random_poly, super_context, torus_context
@@ -269,3 +272,87 @@ def test_trunc_statement_and_env(tmp_path):
     doc = json.loads(out.stdout)
     assert doc["reports"][0]["diagnostics"]["truncation"] == 5
     assert doc["reports"][-1]["diagnostics"]["truncation"] == 3
+
+
+_U = "group Z/2; factor super;\nchart U { base x; formal xi deg (1); }\n"
+
+
+@pytest.mark.parametrize("text, code, error, where", [
+    # literals the grammar admits but the model rejects: exit 2 at the literal
+    (_U + "normalize 1/0 on U;", 2, "expected a nonzero denominator",
+     "line 3, col 13"),
+    ("factor phases [[1/0]] on Z/2;", 2, "expected a nonzero denominator",
+     "line 1, col 19"),
+    ("scenarios torus m=1/0;", 2, "expected a nonzero denominator",
+     "line 1, col 21"),
+    (_U + "normalize zeta(0) * x on U;", 2, "expected a positive zeta order",
+     "line 3, col 16"),
+    (_U + "normalize zeta(-3) on U;", 2, "expected a positive zeta order",
+     "line 3, col 16"),
+    ("trunc -1;", 2, "expected a nonnegative truncation order", "line 1, col 7"),
+    # a RhoError raised while parsing is a one-line exit 2 as well
+    ("group Z/1;", 2, "ConstraintViolation: torsion_order", ""),
+    ("group Z/0;", 2, "ConstraintViolation: torsion_order", ""),
+    ("group Z^-1;", 2, "ConstraintViolation: free_rank", ""),
+    # scenario parameters are checked when the command runs: exit 1
+    ("scenarios torus m=1/2;", 1, '"error": "BadParameter"', ""),
+    ("scenarios torus m=-1;", 1, '"error": "BadParameter"', ""),
+    ("scenarios torus n=2;", 1, '"error": "BadParameter"', ""),
+    ("scenarios derham m=2;", 1, '"error": "BadParameter"', ""),
+])
+def test_cli_rejects_bad_literals_without_traceback(tmp_path, capsys, text,
+                                                    code, error, where):
+    path = tmp_path / "probe.rc"
+    path.write_text(text + "\n", encoding="utf-8")
+    assert cli.main(["run", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("rhocalc: ") and error in err and where in err
+    else:
+        assert err == "" and error in out and "   ERROR\n" in out
+
+
+def _mutants(text, count, seed):
+    """Seeded token mutations of text: delete, replace, swap or insert a
+    token, or set an integer literal to a boundary value."""
+    toks = [t for t in tokenize(text) if t.kind != "eof"]
+    pool = sorted({t.text for t in toks} | {"0", "-1", "/", "^", "Z", "none"})
+    ints = [k for k, t in enumerate(toks) if t.kind == "int"]
+    rng = random.Random(seed)
+    for _ in range(count):
+        words = [(t.line, t.text) for t in toks]
+        for op in rng.choice(("n", "r", "d", "s", "i", "nn", "rr", "dd", "si")):
+            k = rng.randrange(len(words) - 1)
+            line = words[k][0]
+            if op == "n":
+                k = rng.choice(ints)
+                words[k] = (words[k][0], rng.choice(("0", "1", "-1")))
+            elif op == "d":
+                del words[k]
+            elif op == "r":
+                words[k] = (line, rng.choice(pool))
+            elif op == "s":
+                words[k], words[k + 1] = words[k + 1], words[k]
+            else:
+                words.insert(k, (line, rng.choice(pool)))
+        lines = [[] for _ in range(toks[-1].line)]
+        for line, w in words:
+            lines[line - 1].append(w)
+        yield "\n".join(" ".join(ws) for ws in lines) + "\n"
+
+
+def test_cli_survives_mutated_demo(tmp_path, capsys):
+    demo = Path(__file__).resolve().parents[1] / "sessions" / "demo.rc"
+    text = demo.read_text(encoding="utf-8").replace("scenarios all;", "")
+    path = tmp_path / "mutant.rc"
+    codes = set()
+    for mutant in _mutants(text, 400, seed=3):
+        path.write_text(mutant, encoding="utf-8")
+        code = cli.main(["run", str(path)])
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), mutant
+        assert "Traceback" not in err, mutant
+        codes.add(code)
+    assert codes == {0, 1, 2}

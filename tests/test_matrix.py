@@ -594,3 +594,18 @@ def test_inverse_truncation_required():
     wv = tctx.gen("w") * tctx.gen("v")
     m = GradedMatrix(tctx, degs, degs, g.zero(), [[tctx.one() + wv]])
     assert m @ inverse(m) == GradedMatrix.identity(tctx, degs)
+
+
+def test_rho_ber_needs_no_series_for_the_even_block():
+    # F00 = [[1 + w*v]] is invertible (its Laurent part is 1) although its
+    # inverse's series does not stop without a truncation order; Ber only
+    # needs the unit test, so it agrees with det here
+    from conftest import zline_context
+
+    ctx = zline_context(None)
+    g = ctx.factor.group
+    degs = (g.zero(),)
+    m = GradedMatrix(ctx, degs, degs, g.zero(),
+                     [[ctx.one() + ctx.gen("w") * ctx.gen("v")]])
+    assert rho_det(m).text() == "1 + w * v"
+    assert rho_ber(m) == rho_det(m)
