@@ -129,16 +129,23 @@ class Context:
         self._degree_cache[mono] = d
         return d
 
+    def mono_valid(self, mono: tuple[int, ...]) -> bool:
+        """Valid and nonzero: negatives only on Laurent vars, caps respected,
+        within the truncation."""
+        for e, v in zip(mono, self.variables):
+            if e < 0 and not v.invertible:
+                return False
+            if v.cap is not None and e > v.cap:
+                return False
+        return self.truncation is None or self.i_order(mono) <= self.truncation
+
     def check_mono(self, mono: tuple[int, ...]) -> bool:
-        """Valid and nonzero: caps respected, negatives only on Laurent vars."""
+        """`mono_valid`, but a negative power on a non-Laurent variable
+        raises NegativePower."""
         for e, v in zip(mono, self.variables):
             if e < 0 and not v.invertible:
                 raise NegativePower(v.name)
-            if v.cap is not None and e > v.cap:
-                return False
-        if self.truncation is not None and self.i_order(mono) > self.truncation:
-            return False
-        return True
+        return self.mono_valid(mono)
 
     def mono_mul(self, m1, m2):
         """Product of two normal-ordered monomials.

@@ -79,6 +79,10 @@ class NotClosed(RhoError):
     """Exactness was asked for a cochain that is not closed."""
 
 
+class CertificateMismatch(RhoError):
+    """A solver certificate failed its re-verification."""
+
+
 class NotInvertibleDensity(RhoError):
     """A volume-form density is not invertible on some chart."""
 

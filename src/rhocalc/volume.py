@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from .algebra import Context, GradedPoly
 from .cyclo import Cyclo
 from .derivation import Derivation, is_homological, partial
-from .errors import (ContextMismatch, NotClosed, NotHomological,
-                     NotHomogeneous, NotInvertible, NotInvertibleDensity,
-                     OverlapMismatch)
+from .errors import (CertificateMismatch, ContextMismatch, NotClosed,
+                     NotHomological, NotHomogeneous, NotInvertible,
+                     NotInvertibleDensity, OverlapMismatch)
 from .geometry import Atlas, Chart, jacobian_berezinian
 from .grading import Degree
 from .linsolve import solve_linear
@@ -125,22 +125,14 @@ class ExactnessResult:
     verdict: str                      # exact | not_exact_degree_complete | inconclusive
     certificate: GradedPoly | None = None
     searched: int = 0
+    # on an inconclusive verdict, the bound that stopped the search:
+    # closure_cap | rounds | degree_bound; None on any other verdict
+    stopped_by: str | None = None
 
     def payload(self) -> dict:
         return {"verdict": self.verdict,
                 "certificate": self.certificate.text() if self.certificate is not None else None,
                 "searched_monomials": self.searched}
-
-
-def _mono_valid(ctx: Context, mono) -> bool:
-    for e, v in zip(mono, ctx.variables):
-        if e < 0 and not v.invertible:
-            return False
-        if v.cap is not None and e > v.cap:
-            return False
-    if ctx.truncation is not None and ctx.i_order(mono) > ctx.truncation:
-        return False
-    return True
 
 
 def _mono_poly(ctx: Context, mono) -> GradedPoly:
@@ -156,8 +148,9 @@ def exactness_solve(c: GradedPoly, q: Derivation, degree_bound: int = 8,
     each target monomial pins its possible sources.  If that closure reaches
     a fixpoint, solvability over the closed span is equivalent to exactness
     and a failed solve certifies non-exactness; if the closure blows past
-    `closure_cap`, a bounded-span solve may still certify exactness, else
-    the result is inconclusive.
+    `closure_cap` or its 64 rounds, a bounded-span solve may still certify
+    exactness, else the result is inconclusive.  An `exact` certificate h is
+    re-verified as Q(h) == c before it is returned.
     """
     ctx = c.ctx
     if q.ctx != ctx:
@@ -173,54 +166,75 @@ def exactness_solve(c: GradedPoly, q: Derivation, degree_bound: int = 8,
         ea[a] = 1
         for tm in comp.terms:
             shifts.append(tuple(t - e for t, e in zip(tm, ea)))
+    images: dict = {}
+
+    def image(m):
+        """Q(m), computed once per monomial."""
+        img = images.get(m)
+        if img is None:
+            img = images[m] = q.apply(_mono_poly(ctx, m))
+        return img
 
     def candidates(monos):
         out = set()
         for mu in monos:
             for sh in shifts:
                 cand = tuple(m - s for m, s in zip(mu, sh))
-                if _mono_valid(ctx, cand) and ctx.mono_degree(cand) == hdeg:
+                if ctx.mono_valid(cand) and ctx.mono_degree(cand) == hdeg:
                     out.add(cand)
         return out
 
+    # semi-naive closure: each round expands only the image monomials that
+    # no earlier round expanded, since candidates() is a union over them
     span: set = set()
     frontier = set(c.terms)
-    complete = False
+    expanded = set(frontier)
+    stopped_by = "rounds"
     for _ in range(64):
         fresh = candidates(frontier) - span
         if not fresh:
-            complete = True
+            stopped_by = None
             break
         if len(span) + len(fresh) > closure_cap:
+            stopped_by = "closure_cap"
             break
         span |= fresh
-        frontier = set(c.terms)
-        for m in span:
-            frontier |= set(q.apply(_mono_poly(ctx, m)).terms)
+        frontier = {mu for m in fresh for mu in image(m).terms} - expanded
+        expanded |= frontier
 
-    result = _solve_over(ctx, sorted(span), c, q)
+    result = _solve_over(ctx, sorted(span), c, image)
     if result is not None:
-        return ExactnessResult("exact", result, len(span))
-    if complete:
+        return _certified(c, q, result, len(span))
+    if stopped_by is None:
         return ExactnessResult("not_exact_degree_complete", None, len(span))
     wide = _bounded_span(ctx, hdeg, degree_bound)
-    if wide is not None:
-        result = _solve_over(ctx, sorted(set(wide) | span), c, q)
+    if wide is None:
+        stopped_by = "degree_bound"
+    else:
+        result = _solve_over(ctx, sorted(set(wide) | span), c, image)
         if result is not None:
-            return ExactnessResult("exact", result, len(wide))
-    return ExactnessResult("inconclusive", None, len(span))
+            return _certified(c, q, result, len(wide))
+    return ExactnessResult("inconclusive", None, len(span), stopped_by)
 
 
-def _solve_over(ctx: Context, basis, c: GradedPoly, q: Derivation):
+def _certified(c: GradedPoly, q: Derivation, h: GradedPoly,
+               searched: int) -> ExactnessResult:
+    if q.apply(h) != c:
+        raise CertificateMismatch("Q(certificate) differs from the cochain")
+    return ExactnessResult("exact", h, searched)
+
+
+def _solve_over(ctx: Context, basis, c: GradedPoly, image):
     if not basis:
         return ctx.zero() if c.is_zero() else None
-    images = [q.apply(_mono_poly(ctx, m)) for m in basis]
+    images = [image(m) for m in basis]
     eq_monos = set(c.terms)
     for img in images:
         eq_monos |= set(img.terms)
     eq_monos = sorted(eq_monos)
-    rows = [[img.coefficient(mu) for img in images] for mu in eq_monos]
-    rhs = [c.coefficient(mu) for mu in eq_monos]
+    zero = Cyclo.zero()
+    rows = [[img.terms.get(mu, zero) for img in images] for mu in eq_monos]
+    rhs = [c.terms.get(mu, zero) for mu in eq_monos]
     sol = solve_linear(rows, rhs)
     if sol is None:
         return None
@@ -241,7 +255,7 @@ def _bounded_span(ctx: Context, hdeg: Degree, bound: int, cap: int = 4000):
             return
         if idx == ctx.nvars:
             m = tuple(mono)
-            if _mono_valid(ctx, m) and ctx.mono_degree(m) == hdeg:
+            if ctx.mono_valid(m) and ctx.mono_degree(m) == hdeg:
                 out.append(m)
             return
         v = ctx.variables[idx]

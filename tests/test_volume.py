@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import rhocalc.volume as volume
 from rhocalc.derivation import Derivation, commutator, is_homological, partial
-from rhocalc.errors import (NotClosed, NotHomological, NotInvertibleDensity,
-                            OverlapMismatch)
+from rhocalc.errors import (CertificateMismatch, NotClosed, NotHomological,
+                            NotInvertibleDensity, OverlapMismatch)
 from rhocalc.geometry import Atlas, TransitionMap, make_chart
 from rhocalc.grading import super_factor
 from rhocalc.volume import (VolumeForm, divergence, divergence_on_chart,
@@ -185,11 +186,59 @@ def test_exactness_inconclusive_when_closure_blows_up():
     assert q.apply(c).is_zero()
     res = exactness_solve(c, q, degree_bound=3, closure_cap=40)
     assert res.verdict == "inconclusive"
+    assert res.stopped_by == "closure_cap"
+    # the evidence stays out of the byte-stable payload
+    assert "stopped_by" not in res.payload()
+    # at the default cap the closure runs out of rounds first
+    assert exactness_solve(c, q, degree_bound=3).stopped_by == "rounds"
     # the same differential still certifies honest exact cases via the span
     c2 = q.apply(ctx.gen("z"))
     res2 = exactness_solve(c2, q, degree_bound=3, closure_cap=40)
     assert res2.verdict == "exact"
     assert q.apply(res2.certificate) == c2
+
+
+def _line_form_blowup():
+    dr = _line_form_chart()
+    ctx = dr.chart.ctx
+    comp = ctx.gen("dz") + ctx.monomial(1, {"z": 2, "dz": 1})
+    q = Derivation(ctx, ctx.factor.group.degree(1), {ctx.index("z"): comp}, "Q")
+    return ctx, q
+
+
+def test_exactness_applies_q_once_per_monomial(monkeypatch):
+    ctx, q = _line_form_blowup()
+    c = q.apply(ctx.gen("z"))
+    calls = []
+    apply = Derivation.apply
+
+    def recording(self, f):
+        calls.append(f)
+        return apply(self, f)
+
+    monkeypatch.setattr(Derivation, "apply", recording)
+    res = exactness_solve(c, q)
+    assert res.verdict == "exact" and res.searched > 100
+    # first the closedness check on c, last the re-verification of the
+    # certificate; every call between is one monomial, never repeated
+    assert calls[0] == c and calls[-1] == res.certificate
+    monos = [next(iter(f.terms)) for f in calls[1:-1]]
+    assert all(len(f.terms) == 1 for f in calls[1:-1])
+    assert len(monos) == len(set(monos)) >= res.searched
+
+
+def test_exactness_rejects_a_wrong_certificate(monkeypatch):
+    ctx, q = _line_form_blowup()
+    c = q.apply(ctx.gen("z"))
+    solve = volume.solve_linear
+
+    def off_by_one(rows, rhs):
+        sol = solve(rows, rhs)
+        return None if sol is None else [x + x for x in sol]
+
+    monkeypatch.setattr(volume, "solve_linear", off_by_one)
+    with pytest.raises(CertificateMismatch):
+        exactness_solve(c, q, closure_cap=40)
 
 
 def test_exactness_requires_closed():
