@@ -15,6 +15,7 @@ representatives mod the (T+1)-st power of the formal ideal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -146,6 +147,18 @@ class Context:
             if e < 0 and not v.invertible:
                 raise NegativePower(v.name)
         return self.mono_valid(mono)
+
+    def series_bound(self, slack: int = 0) -> int:
+        """Highest power of a formal-ideal element a series may need.
+
+        With a truncation order T, powers beyond T vanish.  Otherwise the
+        total cap bounds the powers of an element whose every term carries a
+        capped variable; `slack` extends the bound for matrix series, whose
+        powers can also die structurally.
+        """
+        if self.truncation is not None:
+            return self.truncation
+        return sum(v.cap for v in self.variables if v.cap is not None) + slack + 1
 
     def mono_mul(self, m1, m2):
         """Product of two normal-ordered monomials.
@@ -428,23 +441,28 @@ class GradedPoly:
 
     # -- series operations ---------------------------------------------------------
 
-    def _series_bound(self, h: "GradedPoly") -> int:
-        """Largest power of h worth computing, or raise TruncationRequired.
+    def _series(self, out: "GradedPoly", coef) -> "GradedPoly":
+        """out + sum_{k>=1} coef(k) h^k for h = self in the formal ideal.
 
-        h must lie in the formal ideal.  With a truncation order T the series
-        stops at T; otherwise h must be visibly nilpotent: every term carries
-        a capped variable (odd variables have cap 1), so powers beyond the
-        total cap vanish.
+        The sum stops at the first zero power of h or past the context's
+        series bound.  Without a truncation order h must be visibly
+        nilpotent: every term carries a capped variable (odd variables have
+        cap 1), else TruncationRequired.
         """
-        if self.ctx.truncation is not None:
-            return self.ctx.truncation
-        capped = [i for i, v in enumerate(self.ctx.variables) if v.cap is not None]
-        total = sum(self.ctx.variables[i].cap for i in capped)
-        for mono in h.terms:
-            if not any(mono[i] > 0 for i in capped):
-                raise TruncationRequired(
-                    "series does not terminate; set a truncation order")
-        return total + 1
+        if self.ctx.truncation is None:
+            capped = [i for i, v in enumerate(self.ctx.variables) if v.cap is not None]
+            for mono in self.terms:
+                if not any(mono[i] > 0 for i in capped):
+                    raise TruncationRequired(
+                        "series does not terminate; set a truncation order")
+        bound = self.ctx.series_bound()
+        p = self
+        k = 1
+        while not p.is_zero() and k <= bound:
+            out = out + p.scale(coef(k))
+            p = p * self
+            k += 1
+        return out
 
     def invert(self) -> "GradedPoly":
         """Inverse in the Laurent/series model.
@@ -468,17 +486,7 @@ class GradedPoly:
         h = f0inv * self - self.ctx.one()
         if h.is_zero():
             return f0inv
-        bound = self._series_bound(h)
-        out = self.ctx.one()
-        p = h
-        sign = -1
-        k = 1
-        while not p.is_zero() and k <= bound:
-            out = out + p.scale(sign)
-            p = p * h
-            sign = -sign
-            k += 1
-        return out * f0inv
+        return h._series(self.ctx.one(), lambda k: (-1) ** k) * f0inv
 
     def exp(self) -> "GradedPoly":
         """exp of a degree-0 element with zero filtration-free part."""
@@ -487,15 +495,8 @@ class GradedPoly:
         if not self.i_free_part().is_zero():
             raise UnsupportedConstantPart(
                 "exp supports only inputs with no filtration-free part")
-        bound = self._series_bound(self)
-        out = self.ctx.one()
-        p = self
-        k = 1
-        while not p.is_zero() and k <= bound:
-            out = out + p
-            k += 1
-            p = (p * self).scale(Fraction(1, k))
-        return out
+        return self._series(self.ctx.one(),
+                            lambda k: Fraction(1, math.factorial(k)))
 
     def log(self) -> "GradedPoly":
         """log of 1 + h with h in the formal ideal."""
@@ -504,16 +505,8 @@ class GradedPoly:
         if self.i_free_part() != self.ctx.one():
             raise UnsupportedConstantPart(
                 "log supports only inputs with filtration-free part 1")
-        h = self - self.ctx.one()
-        bound = self._series_bound(h)
-        out = self.ctx.zero()
-        p = h
-        k = 1
-        while not p.is_zero() and k <= bound:
-            out = out + p.scale(Fraction((-1) ** (k - 1), k))
-            p = p * h
-            k += 1
-        return out
+        return (self - self.ctx.one())._series(
+            self.ctx.zero(), lambda k: Fraction((-1) ** (k - 1), k))
 
     # -- misc -----------------------------------------------------------------
 
@@ -536,12 +529,12 @@ def rho_commutator(f: GradedPoly, g: GradedPoly) -> GradedPoly:
     return f * g - (g * f).scale(rho)
 
 
-def substitute(f: GradedPoly, images: dict[int, GradedPoly], out_ctx: Context,
-               varmap: dict[int, int] | None = None) -> GradedPoly:
+def substitute(f: GradedPoly, images: dict[int, GradedPoly],
+               out_ctx: Context) -> GradedPoly:
     """Algebra morphism sending variable a to images[a].
 
-    Variables without an image map through `varmap` (default: same index in
-    out_ctx).  Images must be homogeneous of the source variables' degrees
+    Variables without an image map to the variable of the same index in
+    out_ctx.  Images must be homogeneous of the source variables' degrees
     for the result to be well defined; monomial factors are multiplied in
     normal-order position, so the engine inserts all rho factors.
     """
@@ -553,8 +546,7 @@ def substitute(f: GradedPoly, images: dict[int, GradedPoly], out_ctx: Context,
                 continue
             img = images.get(a)
             if img is None:
-                b = varmap[a] if varmap else a
-                v = out_ctx.variables[b]
+                v = out_ctx.variables[a]
                 acc = acc * out_ctx.monomial(1, {v.name: e})
                 continue
             if e < 0:

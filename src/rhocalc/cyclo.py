@@ -121,11 +121,7 @@ class Cyclo:
         step = m // self.n
         out = [Fraction(0)] * (max(_phi_degree(self.n), 1) * step + 1)
         for k, c in enumerate(self.coeffs):
-            if c:
-                idx = k * step
-                while idx >= len(out):
-                    out.append(Fraction(0))
-                out[idx] += c
+            out[k * step] = c
         return Cyclo(m, out)
 
     @staticmethod
@@ -138,10 +134,10 @@ class Cyclo:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.coeffs[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -187,19 +183,17 @@ class Cyclo:
             raise NotInvertible("zero has no inverse")
         if self.is_rational():
             return Cyclo(self.n, [1 / self.coeffs[0]] + [Fraction(0)] * (len(self.coeffs) - 1), reduce=False)
-        # Extended Euclid in Q[x] against Phi_n.
-        phi = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(r1):
-            q, r = _frac_poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s2 = _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-            s0, s1 = s1, s2
-        # r0 = gcd, a nonzero constant since Phi_n is irreducible.
-        g = next(c for c in r0 if c != 0)
-        inv = [c / g for c in s0]
-        return Cyclo(self.n, inv)
+        # 1/a is the product of a's other Galois conjugates (z -> z^k, k
+        # coprime to n) over the norm, which is rational: the result stays
+        # in Q(zeta_n) and its reduced form there is unique.
+        rest = Cyclo.one()
+        for k in range(2, self.n):
+            if math.gcd(k, self.n) == 1:
+                conj = [Fraction(0)] * self.n
+                for j, c in enumerate(self.coeffs):
+                    conj[j * k % self.n] = c
+                rest = rest * Cyclo(self.n, conj)
+        return rest * (1 / (self * rest).coeffs[0])
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -273,40 +267,3 @@ def _coerce(x) -> Cyclo:
         return Cyclo.rational(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to Cyclo")
 
-
-def _frac_poly_divmod(a: list[Fraction], b: list[Fraction]):
-    while a and a[-1] == 0:
-        a = a[:-1]
-    while b and b[-1] == 0:
-        b = b[:-1]
-    if not b:
-        raise ZeroDivisionError
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        if a[i] == 0:
-            continue
-        f = a[i] / lead
-        q[i - (len(b) - 1)] = f
-        for j, bj in enumerate(b):
-            a[i - (len(b) - 1) + j] -= f * bj
-    return q, a[: len(b) - 1] or [Fraction(0)]
-
-
-def _frac_poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _frac_poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [a[i] - b[i] for i in range(n)]

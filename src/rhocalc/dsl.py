@@ -10,6 +10,7 @@ while a failed declaration aborts the remainder of the session.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -73,6 +74,7 @@ class Tok:
 
 _PUNCT2 = ("->",)
 _PUNCT1 = ";{}()[],=^*/+-:"
+_DIGITS = "0123456789"  # str.isdigit also admits '²' and '٣'
 
 
 def tokenize(text: str) -> list[Tok]:
@@ -105,9 +107,9 @@ def tokenize(text: str) -> list[Tok]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(Tok("int", text[i:j], line, col))
             col += j - i
@@ -194,8 +196,12 @@ class Parser:
         t = self.peek()
         if t.kind != "int":
             self.fail("an integer")
+        try:
+            value = int(t.text)
+        except ValueError:  # past the interpreter's digit limit
+            self.fail(f"an integer of at most {sys.get_int_max_str_digits()} digits")
         self.next()
-        return -int(t.text) if neg else int(t.text)
+        return -value if neg else value
 
     def checked_integer(self, ok, what: str) -> int:
         """An integer literal; one failing `ok` is reported at its first token."""
@@ -597,10 +603,7 @@ def eval_poly(node, ctx: Context) -> GradedPoly:
         if node.op == "neg":
             return -eval_poly(node.args[0], ctx)
         if node.op == "pow":
-            base = eval_poly(node.args[0], ctx)
-            if node.power < 0:
-                return base.invert() ** (-node.power)
-            return base ** node.power
+            return eval_poly(node.args[0], ctx) ** node.power
     raise RhoError(f"bad expression node {node!r}")
 
 

@@ -73,8 +73,7 @@ class TransitionMap:
         """Rewrite a target-chart polynomial in source coordinates."""
         if f.ctx != self.target.ctx:
             raise ContextMismatch("pullback input")
-        return substitute(f, self.images, self.source.ctx,
-                          varmap={})
+        return substitute(f, self.images, self.source.ctx)
 
     def image_named(self, name: str) -> GradedPoly:
         return self.images[self.target.ctx.index(name)]

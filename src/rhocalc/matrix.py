@@ -293,6 +293,12 @@ def inverse(f: GradedMatrix) -> GradedMatrix:
     geometric series in the filtration ideal.  Raises NotInvertible when the
     Laurent part is singular and TruncationRequired when the series does not
     terminate and no truncation order is set.
+
+    Without a truncation order the series may run to the context's series
+    bound with slack n: its powers die when every entry term carries a
+    capped variable (the total cap bounds the power), or when the n x n
+    series matrix is structurally nilpotent (e.g. triangular), which its
+    n-th power already witnesses.
     """
     ctx = f.ctx
     if f.rows != f.cols:
@@ -319,7 +325,7 @@ def inverse(f: GradedMatrix) -> GradedMatrix:
     rest = GradedMatrix(ctx, f.rows, f.rows, f.degree,
                         f.map_entries(lambda e: e.i_positive_part()), check=False)
     nil = f0inv @ rest
-    bound = _matrix_series_bound(ctx, nil, n)
+    bound = ctx.series_bound(slack=n)
     geo = GradedMatrix.identity(ctx, f.rows)
     power = nil
     sign = -1
@@ -341,21 +347,6 @@ def inverse(f: GradedMatrix) -> GradedMatrix:
 
 def _is_zero_matrix(f: GradedMatrix) -> bool:
     return all(e.is_zero() for row in f.entries for e in row)
-
-
-def _matrix_series_bound(ctx: Context, f: GradedMatrix, n: int) -> int:
-    """How far the geometric series may run before we refuse.
-
-    With a truncation order the series stops there by filtration.  Otherwise
-    powers can still die for two reasons: every entry term carries a capped
-    variable (total cap bounds the power), or the matrix is structurally
-    nilpotent (e.g. triangular), which the n-th power already witnesses.
-    The returned bound covers both; the caller raises if it is exceeded."""
-    if ctx.truncation is not None:
-        return ctx.truncation
-    capped = [i for i, v in enumerate(ctx.variables) if v.cap is not None]
-    total = sum(ctx.variables[i].cap for i in capped)
-    return total + n + 1
 
 
 def rho_ber(f: GradedMatrix) -> GradedPoly:

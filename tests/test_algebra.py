@@ -11,7 +11,7 @@ from rhocalc.derivation import partial
 from rhocalc.errors import (ConstraintViolation, ContextMismatch, NegativePower,
                             NotHomogeneous, NotInvertible, TruncationRequired,
                             UnsupportedConstantPart)
-from rhocalc.grading import super_factor
+from rhocalc.grading import super_factor, torus_factor
 
 from conftest import (random_homogeneous, random_poly, super_context,
                       torus_context, zline_context)
@@ -193,6 +193,30 @@ def test_exp_is_homomorphism(rng):
         assert (f.exp() * g.exp()).log() == f + g
         assert f.exp().log() == f
         assert (ctx.one() + f).invert() * (ctx.one() + f) == ctx.one()
+
+
+def _torus_pairs_context(truncation):
+    """Conductor-8 torus whose formal pairs u_i, v_i have opposite degrees,
+    so the degree-0 formal ideal is not nilpotent."""
+    fac = torus_factor([[0, Fraction(1, 8)], [-Fraction(1, 8), 0]])
+    g = fac.group
+    return Context(fac, [Var("u1", g.generator(0), "even"),
+                         Var("v1", -g.generator(0), "even"),
+                         Var("u2", g.generator(1), "even"),
+                         Var("v2", -g.generator(1), "even")],
+                   truncation, name="torus-pairs")
+
+
+@pytest.mark.parametrize("ctx", [super_context(), _torus_pairs_context(6)],
+                         ids=["super", "torus8-trunc6"])
+def test_exp_log_round_trips(ctx, rng):
+    zero = ctx.factor.group.zero()
+    z8 = Cyclo.root_of_unity(8)
+    for _ in range(15):
+        h = (random_homogeneous(ctx, rng, degree=zero, terms=3)
+             + random_homogeneous(ctx, rng, degree=zero).scale(z8)).i_positive_part()
+        assert h.exp().log() == h
+        assert (ctx.one() + h).log().exp() == ctx.one() + h
 
 
 def test_exp_log_derivative_rules(rng):

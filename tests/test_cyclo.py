@@ -25,6 +25,14 @@ def test_cyclotomic_polynomials(n, coeffs):
     assert cyclotomic_poly(n) == coeffs
 
 
+def test_cyclotomic_polynomials_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 201):
+        want = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_poly(n) == tuple(int(c) for c in want), n
+
+
 def test_root_of_unity_orders():
     z8 = Cyclo.root_of_unity(8)
     assert z8 ** 8 == Cyclo.one()
@@ -58,6 +66,20 @@ def test_field_axioms(n):
         assert a * b == b * a
         if not a.is_zero():
             assert a * a.inverse() == Cyclo.one()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12, 15, 16, 24])
+def test_inverse_stays_at_its_conductor(n):
+    rng = random.Random(11 * n)
+    for _ in range(10):
+        dense = _random_element(rng, n)
+        sparse = Cyclo.root_of_unity(n, rng.randrange(n)) + rng.randint(-3, 3)
+        for a in (dense, sparse):
+            if a.is_zero():
+                continue
+            inv = a.inverse()
+            assert a * inv == Cyclo.one()
+            assert inv.n == a.n
 
 
 def test_zero_has_no_inverse():

@@ -290,6 +290,15 @@ _U = "group Z/2; factor super;\nchart U { base x; formal xi deg (1); }\n"
     (_U + "normalize zeta(-3) on U;", 2, "expected a positive zeta order",
      "line 3, col 16"),
     ("trunc -1;", 2, "expected a nonnegative truncation order", "line 1, col 7"),
+    # only ASCII digits make an integer, and one past int()'s digit limit
+    # is reported at the literal
+    (_U + "normalize x^² on U;", 2, "expected a token (found '²')",
+     "line 3, col 13"),
+    (_U + "normalize ٣ * x on U;", 2, "expected a token (found '٣')",
+     "line 3, col 11"),
+    pytest.param(_U + "normalize x + 1" + "0" * 5000 + " on U;", 2,
+                 "expected an integer of at most", "line 3, col 15",
+                 id="5001-digit-literal"),
     # a RhoError raised while parsing is a one-line exit 2 as well
     ("group Z/1;", 2, "ConstraintViolation: torsion_order", ""),
     ("group Z/0;", 2, "ConstraintViolation: torsion_order", ""),
