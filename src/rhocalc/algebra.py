@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cyclo import Cyclo
+from .cyclo import Cyclo, fraction_text, signed_sum
 from .errors import (ConstraintViolation, ContextMismatch, NegativePower,
                      NotHomogeneous, NotInvertible, TruncationRequired,
                      UnsupportedConstantPart)
@@ -77,9 +77,11 @@ class Context:
             seen[v.name] = len(vs) - 1
         self.variables: tuple[Var, ...] = tuple(vs)
         self._index = seen
-        self._pair = [[factor.phase(vi.degree, vj.degree) for vj in self.variables]
-                      for vi in self.variables]
-        self._zeta_cache: dict[Fraction, Cyclo] = {}
+        # pair phases as integers k for zeta_N^k, N the factor's conductor
+        n = factor.conductor
+        self._pair = [[int(factor.phase(vi.degree, vj.degree) * n)
+                       for vj in self.variables] for vi in self.variables]
+        self._roots: list[Cyclo | None] = [None] * n
         self._degree_cache: dict[tuple[int, ...], object] = {}
 
     # -- lookups -------------------------------------------------------------
@@ -103,13 +105,20 @@ class Context:
     def conductor(self) -> int:
         return self.factor.conductor
 
-    def zeta(self, phase: Fraction) -> Cyclo:
-        phase = phase % 1
-        hit = self._zeta_cache.get(phase)
+    def root(self, k: int) -> Cyclo:
+        """zeta_N^k for the conductor N and 0 <= k < N, built once per k."""
+        hit = self._roots[k]
         if hit is None:
-            hit = Cyclo.from_phase(phase)
-            self._zeta_cache[phase] = hit
+            hit = self._roots[k] = Cyclo.from_phase(Fraction(k, self.conductor))
         return hit
+
+    def zeta(self, phase: Fraction) -> Cyclo:
+        """exp(2 pi i phase) for a phase that is a multiple of 1/N."""
+        k = phase * self.conductor
+        if k.denominator != 1:
+            raise ConstraintViolation("phase", None,
+                                      f"{phase} is not a multiple of 1/{self.conductor}")
+        return self.root(int(k) % self.conductor)
 
     # -- monomial helpers ------------------------------------------------------
 
@@ -163,11 +172,11 @@ class Context:
     def mono_mul(self, m1, m2):
         """Product of two normal-ordered monomials.
 
-        Returns (phase, monomial) with the rho reordering factor as a
-        rational phase, or None when the product is annihilated (odd square,
-        cap overflow, or truncation).
+        Returns (k, monomial) with the rho reordering factor zeta_N^k (see
+        `root`), or None when the product is annihilated (odd square, cap
+        overflow, or truncation).
         """
-        phase = Fraction(0)
+        phase = 0
         pair = self._pair
         for a in range(len(m1)):
             ea = m1[a]
@@ -179,12 +188,7 @@ class Context:
                 if eb:
                     phase += ea * eb * row[b]
         out = tuple(x + y for x, y in zip(m1, m2))
-        for e, v in zip(out, self.variables):
-            if v.cap is not None and e > v.cap:
-                return None
-        if self.truncation is not None and self.i_order(out) > self.truncation:
-            return None
-        return phase, out
+        return (phase % self.factor.conductor, out) if self.mono_valid(out) else None
 
     # -- element constructors --------------------------------------------------
 
@@ -237,9 +241,6 @@ class Context:
         t = self.truncation if truncation == "keep" else truncation
         return Context(self.factor, list(self.variables) + list(extra),
                        t, name or self.name)
-
-    def with_truncation(self, t: int | None) -> "Context":
-        return Context(self.factor, self.variables, t, self.name)
 
     def __eq__(self, other):
         return (isinstance(other, Context)
@@ -321,9 +322,6 @@ class GradedPoly:
 
     def degrees(self) -> set[Degree]:
         return {self.ctx.mono_degree(m) for m in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def degree_of(self) -> Degree:
         ds = self.degrees()
@@ -408,7 +406,7 @@ class GradedPoly:
                 phase, mono = r
                 c = c1 * c2
                 if phase:
-                    c = c * ctx.zeta(phase)
+                    c = c * ctx.root(phase)
                 s = out.get(mono)
                 out[mono] = c if s is None else s + c
         return GradedPoly(ctx, out)
@@ -510,9 +508,6 @@ class GradedPoly:
 
     # -- misc -----------------------------------------------------------------
 
-    def map_coefficients(self, fn) -> "GradedPoly":
-        return GradedPoly(self.ctx, {m: fn(c) for m, c in self.terms.items()})
-
     def text(self) -> str:
         return poly_text(self)
 
@@ -559,8 +554,6 @@ def substitute(f: GradedPoly, images: dict[int, GradedPoly],
 
 def poly_text(f: GradedPoly) -> str:
     """Canonical text: sorted monomials, scalar * var-power chain."""
-    if f.is_zero():
-        return "0"
     chunks = []
     for mono, c in f.items_sorted():
         factors = []
@@ -573,7 +566,7 @@ def poly_text(f: GradedPoly) -> str:
         if c.is_rational():
             q = c.as_fraction()
             neg, mag = q < 0, abs(q)
-            stxt = str(mag)
+            stxt = fraction_text(mag)
             if body and mag == 1:
                 stxt = ""
         elif c.n_terms() == 1:
@@ -584,8 +577,4 @@ def poly_text(f: GradedPoly) -> str:
             stxt = f"({c.text()})"
         term = " * ".join(x for x in (stxt, body) if x)
         chunks.append(("-" if neg else "+", term))
-    sign, term = chunks[0]
-    out = term if sign == "+" else f"-{term}"
-    for sign, term in chunks[1:]:
-        out += f" {sign} {term}"
-    return out
+    return signed_sum(chunks)

@@ -17,12 +17,6 @@ from functools import lru_cache
 from .errors import NotInvertible
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n // 2 + 1) if n % d == 0]
-    out.append(n)
-    return out
-
-
 def _int_poly_divide(num: list[int], den: tuple[int, ...]) -> list[int]:
     # Exact division by a monic integer polynomial.
     num = list(num)
@@ -48,13 +42,36 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     if n == 1:
         return (-1, 1)
     num = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n)[:-1]:
-        num = _int_poly_divide(num, cyclotomic_poly(d))
+    for d in range(1, n // 2 + 1):
+        if n % d == 0:
+            num = _int_poly_divide(num, cyclotomic_poly(d))
     return tuple(num)
 
 
-def _phi_degree(n: int) -> int:
-    return len(cyclotomic_poly(n)) - 1
+_ZERO = Fraction(0)
+_CHUNK = 10 ** 1000
+
+
+def fraction_text(q: Fraction) -> str:
+    """str(q) at any length: integers print in 1000-digit chunks, so the
+    text does not depend on the interpreter's int-to-str digit limit."""
+    parts = []
+    for k in (abs(q.numerator), q.denominator):
+        chunks = []
+        while k >= _CHUNK:
+            k, low = divmod(k, _CHUNK)
+            chunks.append(str(low).zfill(1000))
+        parts.append(str(k) + "".join(reversed(chunks)))
+    text = parts[0] if q.denominator == 1 else "/".join(parts)
+    return "-" + text if q < 0 else text
+
+
+def signed_sum(parts) -> str:
+    """Join (sign, magnitude) pairs as 'a - b + c'; '0' when there are none."""
+    if not parts:
+        return "0"
+    out = " ".join(f"{sign} {mag}" for sign, mag in parts)
+    return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
 def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
@@ -65,10 +82,10 @@ def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
         c = coeffs[i]
         if c == 0:
             continue
-        coeffs[i] = Fraction(0)
+        coeffs[i] = _ZERO
         for j in range(deg):
             coeffs[i - deg + j] -= c * phi[j]
-    coeffs = coeffs[:deg] + [Fraction(0)] * (deg - len(coeffs))
+    coeffs = coeffs[:deg] + [_ZERO] * (deg - len(coeffs))
     return tuple(coeffs[:deg])
 
 
@@ -79,7 +96,7 @@ class Cyclo:
 
     def __init__(self, n: int, coeffs, *, reduce: bool = True):
         self.n = n
-        vals = [Fraction(c) for c in coeffs]
+        vals = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         self.coeffs = _reduce(vals, n) if reduce else tuple(vals)
 
     # -- constructors ------------------------------------------------------
@@ -100,7 +117,7 @@ class Cyclo:
     def root_of_unity(n: int, k: int = 1) -> "Cyclo":
         """zeta_n^k, reduced into the power basis."""
         k %= n
-        coeffs = [Fraction(0)] * (k + 1)
+        coeffs = [_ZERO] * (k + 1)
         coeffs[k] = Fraction(1)
         return Cyclo(n, coeffs)
 
@@ -119,7 +136,7 @@ class Cyclo:
         if m % self.n:
             raise ValueError("lift target must be a conductor multiple")
         step = m // self.n
-        out = [Fraction(0)] * (max(_phi_degree(self.n), 1) * step + 1)
+        out = [_ZERO] * (len(self.coeffs) * step + 1)
         for k, c in enumerate(self.coeffs):
             out[k * step] = c
         return Cyclo(m, out)
@@ -165,9 +182,12 @@ class Cyclo:
 
     def __mul__(self, other):
         other = _coerce(other)
+        if self.n == 1 or other.n == 1:  # scale; the lcm is the other's conductor
+            r, x = (self.coeffs[0], other) if self.n == 1 else (other.coeffs[0], self)
+            return x if r == 1 else Cyclo(x.n, [r * c for c in x.coeffs], reduce=False)
         a, b = Cyclo._unify(self, other)
         n = len(a.coeffs)
-        out = [Fraction(0)] * (2 * n - 1 if n else 1)
+        out = [_ZERO] * (2 * n - 1 if n else 1)
         for i, ci in enumerate(a.coeffs):
             if ci == 0:
                 continue
@@ -182,14 +202,14 @@ class Cyclo:
         if self.is_zero():
             raise NotInvertible("zero has no inverse")
         if self.is_rational():
-            return Cyclo(self.n, [1 / self.coeffs[0]] + [Fraction(0)] * (len(self.coeffs) - 1), reduce=False)
+            return Cyclo(self.n, [1 / self.coeffs[0]] + [_ZERO] * (len(self.coeffs) - 1), reduce=False)
         # 1/a is the product of a's other Galois conjugates (z -> z^k, k
         # coprime to n) over the norm, which is rational: the result stays
         # in Q(zeta_n) and its reduced form there is unique.
         rest = Cyclo.one()
         for k in range(2, self.n):
             if math.gcd(k, self.n) == 1:
-                conj = [Fraction(0)] * self.n
+                conj = [_ZERO] * self.n
                 for j, c in enumerate(self.coeffs):
                     conj[j * k % self.n] = c
                 rest = rest * Cyclo(self.n, conj)
@@ -235,23 +255,15 @@ class Cyclo:
         for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
+            sign = "-" if c < 0 else "+"
+            ac = -c if c < 0 else c
             if k == 0:
-                body = str(c)
-                sign = "-" if c < 0 else "+"
-                mag = str(-c) if c < 0 else str(c)
+                mag = fraction_text(ac)
             else:
                 zk = f"zeta({self.n})" if k == 1 else f"zeta({self.n})^{k}"
-                sign = "-" if c < 0 else "+"
-                ac = -c if c < 0 else c
-                mag = zk if ac == 1 else f"{ac}*{zk}"
+                mag = zk if ac == 1 else f"{fraction_text(ac)}*{zk}"
             parts.append((sign, mag))
-        if not parts:
-            return "0"
-        first_sign, first_mag = parts[0]
-        out = first_mag if first_sign == "+" else f"-{first_mag}"
-        for sign, mag in parts[1:]:
-            out += f" {sign} {mag}"
-        return out
+        return signed_sum(parts)
 
     def __repr__(self):
         return f"Cyclo({self.n}, {self.text()!r})"

@@ -43,9 +43,6 @@ class Derivation:
     def component(self, a: int) -> GradedPoly:
         return self.components.get(a, self.ctx.zero())
 
-    def component_named(self, name: str) -> GradedPoly:
-        return self.component(self.ctx.index(name))
-
     def is_zero(self) -> bool:
         return not self.components
 

@@ -33,9 +33,6 @@ class Chart:
     def degree_tuple(self) -> tuple[Degree, ...]:
         return tuple(v.degree for v in self.ctx.variables)
 
-    def coordinate_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.ctx.variables)
-
 
 def make_chart(name: str, factor: CommutationFactor, coords,
                truncation: int | None = None) -> Chart:
@@ -74,9 +71,6 @@ class TransitionMap:
         if f.ctx != self.target.ctx:
             raise ContextMismatch("pullback input")
         return substitute(f, self.images, self.source.ctx)
-
-    def image_named(self, name: str) -> GradedPoly:
-        return self.images[self.target.ctx.index(name)]
 
 
 def identity_transition(chart: Chart) -> TransitionMap:
@@ -200,10 +194,6 @@ class BundleSpec:
     fiber_degrees: tuple[Degree, ...]
     transitions: dict[tuple[str, str], GradedMatrix]
     pi_shifted: bool = False
-
-    @property
-    def rank(self) -> int:
-        return len(self.fiber_degrees)
 
     def effective_fiber_degrees(self):
         """Degrees in Z x G when parity-shifted, in G otherwise."""

@@ -154,9 +154,6 @@ class CommutationFactor:
         """EVEN if rho(i,i) = +1, ODD if -1."""
         return EVEN if self.phase(i, i) == 0 else ODD
 
-    def is_odd(self, i: Degree) -> bool:
-        return self.parity(i) == ODD
-
     # -- constructions -------------------------------------------------------
 
     def extend_prime(self) -> "CommutationFactor":

@@ -88,9 +88,6 @@ class GradedMatrix:
     def ncols(self) -> int:
         return len(self.cols)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     # -- linear structure -----------------------------------------------------------
 
     def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
@@ -221,6 +218,12 @@ def rho_det(f: GradedMatrix) -> GradedPoly:
     i_k in the same factor, where squares already vanish.  Both choices make
     the expansion alternating, which is what the row-vanishing and product
     rules require; the trivial factor then gives the classical determinant.
+
+    Permutations are walked depth first in lexicographic order, each prefix
+    word computed once, zero prefixes pruned; a coefficient is dropped the
+    moment it cancels, so each ends at the permutation sum's conductor.  The
+    O(n 2^n) row product prod_k (sum_l f_kl t_l) regroups the sums, moving
+    conductors and printed text: it waits for a conductor-free scalar text.
     """
     ctx = f.ctx
     if f.rows != f.cols:
@@ -245,16 +248,28 @@ def rho_det(f: GradedMatrix) -> GradedPoly:
         aux = ctx.extend(tvars, truncation=bump, name="det-aux")
     lifted = [[lift_poly(e, aux) for e in row] for row in f.entries]
     tpolys = [aux.gen(f"{tbase}{k + 1}") for k in range(n)]
-    total = aux.zero()
-    for sigma in itertools.permutations(range(n)):
-        word = aux.one()
-        for k in range(n):
-            word = word * lifted[k][sigma[k]] * tpolys[sigma[k]]
-        total = total + word
+    total: dict = {}
+
+    def walk(word: GradedPoly, k: int, free: list[int]):
+        if k == n:
+            for mono, c in word.terms.items():
+                s = total.get(mono)
+                c = c if s is None else s + c
+                if c.is_zero():
+                    del total[mono]
+                else:
+                    total[mono] = c
+            return
+        for l in free:
+            nxt = word * lifted[k][l] * tpolys[l]
+            if not nxt.is_zero():
+                walk(nxt, k + 1, [j for j in free if j != l])
+
+    walk(aux.one(), 0, list(range(n)))
     # strip the t block: every surviving term carries each t exactly once
     base_n = ctx.nvars
     out = {}
-    for mono, c in total.terms.items():
+    for mono, c in total.items():
         if any(e != 1 for e in mono[base_n:]):
             raise GradingViolation("internal: determinant expansion lost a t")
         out[mono[:base_n]] = c

@@ -303,3 +303,49 @@ def test_prime_context_preserves_products(rng):
         lf = GradedPoly(big, dict(f.terms))
         lg = GradedPoly(big, dict(g.terms))
         assert lf * lg == GradedPoly(big, dict((f * g).terms))
+
+
+def _torus8_context():
+    fac = torus_factor([[0, Fraction(1, 8)], [-Fraction(1, 8), 0]])
+    g = fac.group
+    return Context(fac, [Var("u1", g.generator(0), "even"),
+                         Var("u2", g.generator(1), "even"),
+                         Var("v1", -g.generator(0), "even"),
+                         Var("v2", -g.generator(1), "even")], name="torus8")
+
+
+def test_mono_mul_phase_is_an_integer_mod_the_conductor(rng):
+    # mono_mul's phase k stands for zeta_N^k: it must be N times the rho
+    # reordering phase, summed as Fractions with factor.phase, mod N
+    t8 = _torus8_context()
+    fac, g8 = t8.factor, t8.factor.group
+    primed = prime_context(t8, [Var("t1", fac.prime_degree(1, g8.generator(0)), "odd"),
+                                Var("t2", fac.prime_degree(1, -g8.generator(1)), "odd")])
+    sfac = super_factor()
+    sprimed = prime_context(super_context(),
+                            [Var("t", sfac.prime_degree(1, sfac.group.zero()), "odd")])
+    for ctx in (t8, primed, sprimed):
+        n = ctx.factor.conductor
+        kept = 0
+        for _ in range(300):
+            m1, m2 = (tuple(rng.randint(0, 1 if v.cap == 1 else 3)
+                            for v in ctx.variables) for _ in range(2))
+            r = ctx.mono_mul(m1, m2)
+            if r is None:
+                continue
+            kept += 1
+            acc = Fraction(0)
+            for a, va in enumerate(ctx.variables):
+                for b, vb in enumerate(ctx.variables[:a]):
+                    acc += m1[a] * m2[b] * ctx.factor.phase(va.degree, vb.degree)
+            assert r[0] == (acc % 1) * n, (ctx, m1, m2)
+            assert ctx.root(r[0]) == ctx.zeta(acc)
+        assert kept > 100
+
+
+def test_zeta_rejects_a_phase_outside_the_conductor():
+    ctx = torus_context()       # conductor 4
+    assert ctx.zeta(Fraction(-1, 4)) == Cyclo.root_of_unity(4, 3)
+    assert ctx.zeta(Fraction(5, 2)) == Cyclo.rational(-1)
+    with pytest.raises(ConstraintViolation):
+        ctx.zeta(Fraction(1, 8))

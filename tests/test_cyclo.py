@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -119,3 +120,55 @@ def test_text_roundtrip_values():
     assert (Cyclo.one() + Cyclo.root_of_unity(4)).text() == "1 + zeta(4)"
     assert (Cyclo.one() - Cyclo.root_of_unity(4)).text() == "1 - zeta(4)"
     assert Cyclo.zero().text() == "0"
+
+
+def _sympy_poly(sympy, x, a, m):
+    """a as a polynomial in zeta_m, m a multiple of its conductor, unreduced."""
+    step = m // a.n
+    coeffs = [0] * (step * (len(a.coeffs) - 1) + 1)
+    for k, c in enumerate(a.coeffs):
+        coeffs[k * step] = sympy.Rational(c.numerator, c.denominator)
+    return sympy.Poly(coeffs[::-1], x, domain="QQ")
+
+
+def _oracle_operand(rng, n):
+    """A dense, sparse or rational value at conductor n, or a rational at
+    conductor 1."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return _random_element(rng, n)
+    if kind == 1:
+        return Cyclo.root_of_unity(n, rng.randrange(n)) * rng.randint(-3, 3)
+    r = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if kind == 2:
+        return Cyclo(n, [r])
+    return Cyclo.rational(rng.choice((r, 1, 0)))
+
+
+def test_field_arithmetic_matches_sympy():
+    # products, sums and inverses against Q[x] modulo cyclotomic_poly(m);
+    # a result lives at the lcm of its operands' conductors, which covers
+    # conductor-1 factors and rational values stored at conductor > 1
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(2024)
+    for _ in range(300):
+        m = rng.randint(1, 60)
+        divs = [d for d in range(1, m + 1) if m % d == 0]
+        a, b = (_oracle_operand(rng, rng.choice(divs)) for _ in range(2))
+        lcm = a.n * b.n // math.gcd(a.n, b.n)
+        phi = sympy.Poly(sympy.cyclotomic_poly(lcm, x), x, domain="QQ")
+        pa, pb = _sympy_poly(sympy, x, a, lcm), _sympy_poly(sympy, x, b, lcm)
+        for got, want in ((a * b, pa * pb), (b * a, pa * pb), (a + b, pa + pb),
+                          (a - b, pa - pb)):
+            assert got.n == lcm, (a, b)
+            assert got == Cyclo(lcm, [Fraction(int(c.p), int(c.q))
+                                      for c in reversed(want.rem(phi).all_coeffs())])
+            assert len(got.coeffs) == phi.degree()
+        if not b.is_zero() and rng.random() < 0.25:
+            inv = b.inverse()
+            phib = sympy.Poly(sympy.cyclotomic_poly(b.n, x), x, domain="QQ")
+            want = _sympy_poly(sympy, x, b, b.n).invert(phib)
+            assert inv.n == b.n
+            assert inv == Cyclo(b.n, [Fraction(int(c.p), int(c.q))
+                                      for c in reversed(want.all_coeffs())])

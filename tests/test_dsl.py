@@ -274,6 +274,26 @@ def test_trunc_statement_and_env(tmp_path):
     assert doc["reports"][-1]["diagnostics"]["truncation"] == 3
 
 
+def test_cli_prints_values_past_the_int_str_digit_limit(tmp_path):
+    # each literal is within the tokenizer's digit limit; the products are
+    # 8000 digits long, (10^4000 - 1)^2 = 9..980..01
+    nines = "9" * 4000
+    square = "9" * 3999 + "8" + "0" * 3999 + "1"
+    session = tmp_path / "big.rc"
+    session.write_text(
+        "group Z/2; factor super;\nchart U { base x; formal xi deg (1); }\n"
+        f"normalize {nines} * {nines} * x on U;\n"
+        f"normalize {nines} * {nines} * zeta(8) * x on U;\n"
+        f"normalize 1/{nines} * 1/{nines} * x on U;\n", encoding="utf-8")
+    out = _run_cli(["run", str(session)], cwd=tmp_path)
+    assert out.returncode == 0, out.stderr[-2000:]
+    assert out.stderr == ""
+    values = [json.loads(line)["value"] for line in out.stdout.splitlines()
+              if '"value"' in line]
+    assert values == [f"{square} * x", f"{square}*zeta(8) * x",
+                      f"1/{square} * x"]
+
+
 _U = "group Z/2; factor super;\nchart U { base x; formal xi deg (1); }\n"
 
 

@@ -1,20 +1,23 @@
 """Graded matrix invariants against classical oracles and exact identities."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from rhocalc.algebra import GradedPoly
+from rhocalc.algebra import (Context, GradedPoly, Var, lift_poly,
+                             prime_context)
 from rhocalc.cyclo import Cyclo
 from rhocalc.errors import (GradingViolation, MixedParity, NonzeroDegree,
                             NotInvertible, ShapeMismatch, TruncationRequired)
+from rhocalc.grading import GroupSpec, torus_factor, trivial_factor
 from rhocalc.matrix import (GradedMatrix, classify_tuple, inverse, left_act,
                             linearize_ber, linearize_det, rho_ber, rho_det,
                             rho_det_properties_check, rho_tr, right_act,
                             transpose)
 from conftest import (monomials_by_degree, random_homogeneous,
-                      random_scalar, torus_context)
+                      random_scalar, super_context, torus_context)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -33,6 +36,29 @@ def classical_det(entries):
         term = term.scale(-1) if inv % 2 else term
         total = term if total is None else total + term
     return total
+
+
+def permutation_rho_det(f):
+    """rho_det as the plain sum over permutations: every word is built from
+    scratch and added with GradedPoly addition (the prefix walk's oracle)."""
+    ctx, n = f.ctx, f.nrows
+    bump = None if ctx.truncation is None else ctx.truncation + n
+    if classify_tuple(ctx.factor, f.rows) == "even":
+        tvars = [Var(f"_t{k + 1}", ctx.factor.prime_degree(1, d), "odd")
+                 for k, d in enumerate(f.rows)]
+        aux = prime_context(ctx, tvars, truncation=bump)
+    else:
+        tvars = [Var(f"_t{k + 1}", d, "odd") for k, d in enumerate(f.rows)]
+        aux = ctx.extend(tvars, truncation=bump)
+    lifted = [[lift_poly(e, aux) for e in row] for row in f.entries]
+    ts = [aux.gen(v.name) for v in tvars]
+    total = aux.zero()
+    for sigma in itertools.permutations(range(n)):
+        word = aux.one()
+        for k in range(n):
+            word = word * lifted[k][sigma[k]] * ts[sigma[k]]
+        total = total + word
+    return GradedPoly(ctx, {m[:ctx.nvars]: c for m, c in total.terms.items()})
 
 
 def scalar_matrix(ctx, degs, rows):
@@ -459,13 +485,10 @@ def test_linearize_of_zero_matrix(sctx):
     assert lhs2 == rhs2 == lhs2.ctx.one()
 
 
-def _twisted_torus_context():
+def _twisted_torus_context(theta=Fraction(1, 4)):
     """Torus generators plus opposite-degree partners: the degree-0 part is a
     genuinely twisted commutative algebra (u2 v1 = zeta4 v1 u2 etc.)."""
-    from rhocalc.algebra import Context, Var
-    from rhocalc.grading import torus_factor
-
-    fac = torus_factor([[0, Fraction(1, 4)], [-Fraction(1, 4), 0]])
+    fac = torus_factor([[0, theta], [-theta, 0]])
     g = fac.group
     return Context(fac, [Var("u1", g.generator(0), "even"),
                          Var("u2", g.generator(1), "even"),
@@ -609,3 +632,96 @@ def test_rho_ber_needs_no_series_for_the_even_block():
                      [[ctx.one() + ctx.gen("w") * ctx.gen("v")]])
     assert rho_det(m).text() == "1 + w * v"
     assert rho_ber(m) == rho_det(m)
+
+
+_TORUS_SLOTS = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)]
+
+
+def _det_case(family, n, rng):
+    """A seeded degree-0 matrix of the det_ber benchmark's families, with
+    about one entry in five set to zero."""
+    if family.startswith("super"):
+        ctx = super_context()
+        g = ctx.factor.group
+        degs = (g.zero() if family == "super-even" else g.degree(1),) * n
+        ents = [list(row) for row in random_super_m0(ctx, rng, degs).entries]
+    else:
+        ctx = _twisted_torus_context(Fraction(1, int(family[5:])))
+        g = ctx.factor.group
+        degs = tuple(g.degree(*s) for s in _TORUS_SLOTS[:n])
+        ents = [[_bucket_entry(ctx, rng, degs[k] - degs[l]) for l in range(n)]
+                for k in range(n)]
+        for k in range(n):
+            ents[k][k] = ents[k][k] + ctx.scalar(random_scalar(rng))
+    for row in ents:
+        for l in range(n):
+            if rng.random() < 0.2:
+                row[l] = ctx.zero()
+    return GradedMatrix(ctx, degs, degs, g.zero(), ents)
+
+
+@pytest.mark.parametrize("family", ["super-even", "super-odd", "torus4", "torus8"])
+def test_rho_det_prefix_walk_matches_the_permutation_sum(family):
+    # same value, same conductor per coefficient and same text as the plain
+    # permutation sum
+    rng = random.Random(family)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(3 if n < 5 else 2):
+            f = _det_case(family, n, rng)
+            got, want = rho_det(f), permutation_rho_det(f)
+            assert got.text() == want.text(), f.text()
+            assert {m: c.n for m, c in got.terms.items()} == \
+                {m: c.n for m, c in want.terms.items()}, f.text()
+
+
+def test_rho_det_restarts_a_cancelled_coefficient(sctx):
+    # the first two words zeta8 and -zeta8 cancel; the sum must forget their
+    # conductor, as GradedPoly addition does, so -zeta4 does not print as
+    # -zeta(8)^2
+    g = sctx.factor.group
+    z8, z4 = Cyclo.root_of_unity(8), Cyclo.root_of_unity(4)
+    degs = (g.zero(),) * 3
+    f = scalar_matrix(sctx, degs, [[z8, z4, 0], [1, 1, 1], [0, 1, 1]])
+    assert rho_det(f).text() == permutation_rho_det(f).text() == "-zeta(4)"
+
+
+def _sympy_expr(sympy, f, symbols):
+    """A polynomial with rational coefficients as a sympy expression, with
+    symbols[i] for variable i; a None symbol skips its variable, so the
+    super symbols (x, z, e, None) read xi*eta as e."""
+    out = 0
+    for mono, c in f.terms.items():
+        q = c.as_fraction()
+        term = sympy.Rational(q.numerator, q.denominator)
+        for e, sym in zip(mono, symbols):
+            if e and sym is not None:
+                term *= sym ** e
+        out += term
+    return out
+
+
+def test_rho_det_matches_sympy_on_commuting_entries(rng):
+    # the trivial factor (all base variables) and all-even super entries in
+    # x, z and the nilpotent e = xi*eta: rho_det is the classical determinant
+    sympy = pytest.importorskip("sympy")
+    x, z, e = sympy.symbols("x z e")
+    tfac = trivial_factor(GroupSpec(1))
+    tg = tfac.group
+    tctx = Context(tfac, [Var("x", tg.zero(), "base"), Var("z", tg.zero(), "base")])
+    sctx = super_context()
+    cases = [(tctx, [(a, b) for a in range(2) for b in range(2)], (x, z)),
+             (sctx, [(a, b, c, c) for a in range(2) for b in range(2) for c in range(2)],
+              (x, z, e, None))]
+    for ctx, pool, symbols in cases:
+        for n in range(1, 7):
+            ents = [[GradedPoly(ctx, {m: Cyclo.rational(random_scalar(rng))
+                                      for m in rng.sample(pool, rng.randint(0, 2))})
+                     for _ in range(n)] for _ in range(n)]
+            degs = (ctx.factor.group.zero(),) * n
+            got = rho_det(GradedMatrix(ctx, degs, degs, degs[0], ents))
+            dm = sympy.Matrix([[_sympy_expr(sympy, p, symbols) for p in row]
+                               for row in ents]).to_DM()
+            want = sympy.Poly(dm.domain.to_sympy(dm.det()), x, z, e)
+            want = sum((c * x ** i * z ** j * e ** k
+                        for (i, j, k), c in want.terms() if k < 2), sympy.Integer(0))
+            assert sympy.expand(_sympy_expr(sympy, got, symbols) - want) == 0, n
