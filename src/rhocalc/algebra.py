@@ -228,9 +228,7 @@ class Context:
         """Normal-order an arbitrary word of (variable, power) letters."""
         out = self.scalar(coef)
         for name, e in letters:
-            v = self.var(name)
-            if e < 0 and not v.invertible:
-                raise NegativePower(name)
+            # monomial() raises NegativePower on a non-Laurent variable
             out = out * self.monomial(1, {name: e})
         return out
 

@@ -11,12 +11,14 @@ from .dsl import run_session
 from .errors import DslSyntaxError, RhoError
 
 
-def _default_truncation() -> int:
-    raw = os.environ.get("RHOCALC_TRUNC", "8")
-    try:
-        return int(raw)
-    except ValueError:
-        return 8
+def _truncation(flag: str | None) -> int:
+    """--trunc, else RHOCALC_TRUNC (unset or empty: 8); ValueError unless
+    it is a nonnegative integer (or past int()'s digit limit)."""
+    source, raw = ("--trunc", flag) if flag is not None else (
+        "RHOCALC_TRUNC", os.environ.get("RHOCALC_TRUNC") or "8")
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"{source} must be a nonnegative integer, not {raw!r}")
+    return int(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,7 +29,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("session", help="path to a .rc session file")
     runp.add_argument("--json", action="store_true", dest="as_json",
                       help="emit one JSON document instead of text")
-    runp.add_argument("--trunc", type=int, default=None,
+    runp.add_argument("--trunc", default=None, metavar="N",
                       help="truncation order (default: RHOCALC_TRUNC or 8)")
     return p
 
@@ -43,7 +45,11 @@ def _human(reports) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    trunc = args.trunc if args.trunc is not None else _default_truncation()
+    try:
+        trunc = _truncation(args.trunc)
+    except ValueError as e:
+        print(f"rhocalc: {e}", file=sys.stderr)
+        return 2
     try:
         with open(args.session, "r", encoding="utf-8") as fh:
             text = fh.read()

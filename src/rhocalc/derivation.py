@@ -153,7 +153,6 @@ def commutator(x: Derivation, y: Derivation) -> Derivation:
     rho = ctx.zeta(ctx.factor.phase(x.degree, y.degree))
     comps = {}
     for a in range(ctx.nvars):
-        va = ctx.variables[a].name
         val = x.apply(y.component(a)) - y.apply(x.component(a)).scale(rho)
         if not val.is_zero():
             comps[a] = val

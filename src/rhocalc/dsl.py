@@ -107,19 +107,14 @@ def tokenize(text: str) -> list[Tok]:
             i += 1
             col += 1
             continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
+        if ch in _DIGITS or ch.isalpha() or ch == "_":
+            # an int is a run of ASCII digits, a name a run of word characters
+            kind, more = (("int", lambda c: c in _DIGITS) if ch in _DIGITS
+                          else ("name", lambda c: c.isalnum() or c == "_"))
+            j = i + 1
+            while j < n and more(text[j]):
                 j += 1
-            toks.append(Tok("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Tok("name", text[i:j], line, col))
+            toks.append(Tok(kind, text[i:j], line, col))
             col += j - i
             i = j
             continue
@@ -154,10 +149,13 @@ class POp:
 
 
 class Parser:
+    MAX_NESTING = 100  # '(' and unary '-' levels; a '(' costs five stack frames
+
     def __init__(self, text: str):
         self.text = text
         self.toks = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing
 
@@ -262,9 +260,21 @@ class Parser:
             node = POp("mul", (node, self.poly_factor()))
         return node
 
+    def nested(self, parse):
+        """Consume the '(' or unary '-' at hand and return parse() one level
+        deeper; past MAX_NESTING levels that token is a syntax error, well
+        before the recursive descent could exhaust the interpreter's stack."""
+        if self.depth == self.MAX_NESTING:
+            self.fail(f"at most {self.MAX_NESTING} nested parentheses and unary minus signs")
+        self.next()
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def poly_factor(self):
-        if self.accept("-"):
-            return POp("neg", (self.poly_factor(),))
+        if self.peek().text == "-":
+            return POp("neg", (self.nested(self.poly_factor),))
         atom = self.poly_atom()
         if self.accept("^"):
             k = self.integer()
@@ -276,8 +286,7 @@ class Parser:
         if t.kind == "int":
             return PNum(self.rational())
         if t.text == "(":
-            self.next()
-            node = self.poly_expr()
+            node = self.nested(self.poly_expr)
             self.expect(")")
             return node
         if t.kind == "name":
@@ -413,14 +422,18 @@ class Parser:
         self.expect("->")
         b = self.name("a chart name")
         self.expect("{")
-        images = []
-        while not self.accept("}"):
-            v = self.name("a target coordinate")
-            self.expect("=")
-            expr = self.poly_expr()
-            self.expect(";")
-            images.append((v, expr))
+        images = self.bindings("a target coordinate", "=")
         return {"name": name, "source": a, "target": b, "images": images}
+
+    def bindings(self, what: str, sep: str) -> list:
+        """(name sep poly ';')* '}' as (name token, poly) pairs."""
+        out = []
+        while not self.accept("}"):
+            v = self.name(what)
+            self.expect(sep)
+            out.append((v, self.poly_expr()))
+            self.expect(";")
+        return out
 
     def stmt_derivation(self):
         name = self.name("a derivation name")
@@ -430,13 +443,7 @@ class Parser:
         if self.accept("deg"):
             deg = self.degree_literal()
         if self.accept("{"):
-            comps = []
-            while not self.accept("}"):
-                v = self.name("a coordinate")
-                self.expect("->")
-                expr = self.poly_expr()
-                self.expect(";")
-                comps.append((v, expr))
+            comps = self.bindings("a coordinate", "->")
             return {"name": name, "ctx": ctx_tok, "degree": deg, "components": comps}
         self.expect("=")
         comps = [self.poly_term_until_dd()]
@@ -585,6 +592,10 @@ def _coord_index(ctx: Context, tok: Tok, name: str | None = None) -> int:
     return ctx.index(name)
 
 
+_BINARY = {"add": GradedPoly.__add__, "sub": GradedPoly.__sub__,
+           "mul": GradedPoly.__mul__}
+
+
 def eval_poly(node, ctx: Context) -> GradedPoly:
     if isinstance(node, PNum):
         return ctx.scalar(node.value)
@@ -594,12 +605,15 @@ def eval_poly(node, ctx: Context) -> GradedPoly:
         _coord_index(ctx, node.tok)
         return ctx.gen(node.tok.text)
     if isinstance(node, POp):
-        if node.op == "add":
-            return eval_poly(node.args[0], ctx) + eval_poly(node.args[1], ctx)
-        if node.op == "sub":
-            return eval_poly(node.args[0], ctx) - eval_poly(node.args[1], ctx)
-        if node.op == "mul":
-            return eval_poly(node.args[0], ctx) * eval_poly(node.args[1], ctx)
+        if node.op in _BINARY:  # down the left spine: no recursion on a long chain
+            spine = []
+            while isinstance(node, POp) and node.op in _BINARY:
+                spine.append(node)
+                node = node.args[0]
+            acc = eval_poly(node, ctx)
+            for op in reversed(spine):
+                acc = _BINARY[op.op](acc, eval_poly(op.args[1], ctx))
+            return acc
         if node.op == "neg":
             return -eval_poly(node.args[0], ctx)
         if node.op == "pow":
@@ -904,13 +918,10 @@ class Runner:
                 raise BadParameter(f"m must be a nonnegative integer, got {m}")
             theta12 = params.get("theta12", Fraction(1, 4))
             return torus_scenario(m=int(m), theta12=theta12)[0]
-        if which == "derham":
-            return derham_scenario()[0]
-        if which == "cstar":
-            return cstar_scenario()[0]
-        if which == "shift":
-            return shifted_cotangent_scenario()[0]
-        return builtin_scenarios()
+        if which == "all":
+            return builtin_scenarios()
+        return {"derham": derham_scenario, "cstar": cstar_scenario,
+                "shift": shifted_cotangent_scenario}[which]()[0]
 
 
 def _super_like_phases(group: GroupSpec):

@@ -8,8 +8,6 @@ alternating variables; the graded Berezinian by the Schur complement.
 
 from __future__ import annotations
 
-import itertools
-
 from .algebra import Context, GradedPoly, Var, lift_poly, prime_context
 from .errors import (GradingViolation, MixedParity, NonzeroDegree,
                      NotInvertible, NotSplitTuple, ShapeMismatch,
@@ -208,6 +206,37 @@ def _bumped(t: int | None, extra: int) -> int | None:
     return None if t is None else t + extra
 
 
+def _expand(start: GradedPoly, rows, cols, extend) -> GradedPoly:
+    """Sum of the words of every bijection rows -> cols.
+
+    extend(word, r, c, odd) appends column c for row r; odd is the parity of
+    c's position among the free columns, so a bijection's parities sum to its
+    inversion count.  The walk is depth first in lexicographic order: each
+    prefix word is computed once, zero prefixes are pruned, and a coefficient
+    is dropped the moment it cancels, so it ends at the conductor of the
+    plain permutation sum.
+    """
+    total: dict = {}
+
+    def walk(word: GradedPoly, k: int, free: list):
+        if k == len(rows):
+            for mono, c in word.terms.items():
+                s = total.get(mono)
+                c = c if s is None else s + c
+                if c.is_zero():
+                    del total[mono]
+                else:
+                    total[mono] = c
+            return
+        for pos, col in enumerate(free):
+            nxt = extend(word, rows[k], col, pos & 1)
+            if not nxt.is_zero():
+                walk(nxt, k + 1, free[:pos] + free[pos + 1:])
+
+    walk(start, 0, list(cols))
+    return GradedPoly(start.ctx, total)
+
+
 def rho_det(f: GradedMatrix) -> GradedPoly:
     """Graded determinant of a degree-0 matrix with all-even or all-odd tuple.
 
@@ -219,11 +248,10 @@ def rho_det(f: GradedMatrix) -> GradedPoly:
     the expansion alternating, which is what the row-vanishing and product
     rules require; the trivial factor then gives the classical determinant.
 
-    Permutations are walked depth first in lexicographic order, each prefix
-    word computed once, zero prefixes pruned; a coefficient is dropped the
-    moment it cancels, so each ends at the permutation sum's conductor.  The
-    O(n 2^n) row product prod_k (sum_l f_kl t_l) regroups the sums, moving
-    conductors and printed text: it waits for a conductor-free scalar text.
+    `_expand` walks the permutations (the odd t's carry the sign), as it does
+    for inverse()'s Laurent determinant and cofactors.  The O(n 2^n) row
+    product prod_k (sum_l f_kl t_l) regroups the sums, moving conductors and
+    printed text: it waits for a conductor-free scalar text.
     """
     ctx = f.ctx
     if f.rows != f.cols:
@@ -237,67 +265,32 @@ def rho_det(f: GradedMatrix) -> GradedPoly:
     if kind not in ("even", "odd"):
         raise MixedParity("degree tuple must be all even or all odd")
     tbase = _fresh(ctx, "_t")
-    bump = _bumped(ctx.truncation, n)
-    if kind == "even":
-        fac = ctx.factor
-        tvars = [Var(f"{tbase}{k + 1}", fac.prime_degree(1, d), ODD)
-                 for k, d in enumerate(f.rows)]
-        aux = prime_context(ctx, tvars, truncation=bump, name="det-aux")
-    else:
-        tvars = [Var(f"{tbase}{k + 1}", d, ODD) for k, d in enumerate(f.rows)]
-        aux = ctx.extend(tvars, truncation=bump, name="det-aux")
+    even = kind == "even"
+    tvars = [Var(f"{tbase}{k + 1}", ctx.factor.prime_degree(1, d) if even else d, ODD)
+             for k, d in enumerate(f.rows)]
+    aux = (prime_context if even else Context.extend)(
+        ctx, tvars, truncation=_bumped(ctx.truncation, n), name="det-aux")
     lifted = [[lift_poly(e, aux) for e in row] for row in f.entries]
-    tpolys = [aux.gen(f"{tbase}{k + 1}") for k in range(n)]
-    total: dict = {}
-
-    def walk(word: GradedPoly, k: int, free: list[int]):
-        if k == n:
-            for mono, c in word.terms.items():
-                s = total.get(mono)
-                c = c if s is None else s + c
-                if c.is_zero():
-                    del total[mono]
-                else:
-                    total[mono] = c
-            return
-        for l in free:
-            nxt = word * lifted[k][l] * tpolys[l]
-            if not nxt.is_zero():
-                walk(nxt, k + 1, [j for j in free if j != l])
-
-    walk(aux.one(), 0, list(range(n)))
+    tpolys = [aux.gen(v.name) for v in tvars]
+    total = _expand(aux.one(), range(n), range(n),
+                    lambda word, k, l, odd: word * lifted[k][l] * tpolys[l])
     # strip the t block: every surviving term carries each t exactly once
     base_n = ctx.nvars
     out = {}
-    for mono, c in total.items():
+    for mono, c in total.terms.items():
         if any(e != 1 for e in mono[base_n:]):
             raise GradingViolation("internal: determinant expansion lost a t")
         out[mono[:base_n]] = c
     return GradedPoly(ctx, out)
 
 
-def _classical_det(ctx: Context, grid) -> GradedPoly:
-    # permutation determinant for mutually commuting entries
-    n = len(grid)
-    if n == 0:
-        return ctx.one()
-    acc = ctx.zero()
-    for sigma in itertools.permutations(range(n)):
-        sign = _perm_sign(sigma)
-        term = ctx.one()
-        for k in range(n):
-            term = term * grid[k][sigma[k]]
-        acc = acc + term.scale(sign)
-    return acc
-
-
-def _perm_sign(sigma) -> int:
-    sign = 1
-    for a in range(len(sigma)):
-        for b in range(a + 1, len(sigma)):
-            if sigma[a] > sigma[b]:
-                sign = -sign
-    return sign
+def _laurent_det(ctx: Context, grid, rows, cols) -> GradedPoly:
+    # determinant of the rows x cols minor of a grid of mutually commuting
+    # entries; the sign is a rational negation, so it moves no conductor
+    def extend(word, r, c, odd):
+        nxt = word * grid[r][c]
+        return -nxt if odd else nxt
+    return _expand(ctx.one(), rows, cols, extend)
 
 
 def inverse(f: GradedMatrix) -> GradedMatrix:
@@ -305,9 +298,12 @@ def inverse(f: GradedMatrix) -> GradedMatrix:
 
     Split off the filtration-free part (a matrix over the commuting Laurent
     coefficients), invert it by the classical adjugate, and complete by a
-    geometric series in the filtration ideal.  Raises NotInvertible when the
-    Laurent part is singular and TruncationRequired when the series does not
-    terminate and no truncation order is set.
+    geometric series in the filtration ideal.  The adjugate's determinant and
+    cofactors come from rho_det's permutation walk (`_expand`), each cofactor
+    walked over the minor's row and column indices of the one Laurent grid.
+    Raises NotInvertible when the Laurent part is singular and
+    TruncationRequired when the series does not terminate and no truncation
+    order is set.
 
     Without a truncation order the series may run to the context's series
     bound with slack n: its powers die when every entry term carries a
@@ -324,39 +320,31 @@ def inverse(f: GradedMatrix) -> GradedMatrix:
     if n == 0:
         return f
     free = f.map_entries(lambda e: e.i_free_part())
-    det0 = _classical_det(ctx, free)
-    det0_inv = det0.invert()
+    det0_inv = _laurent_det(ctx, free, range(n), range(n)).invert()
     adj = []
     for k in range(n):
         row = []
         for l in range(n):
-            rows_idx = [r for r in range(n) if r != l]
-            cols_idx = [c for c in range(n) if c != k]
-            minor = [[free[r][c] for c in cols_idx] for r in rows_idx]
-            cof = _classical_det(ctx, minor).scale((-1) ** (k + l))
+            minor_rows = [r for r in range(n) if r != l]
+            minor_cols = [c for c in range(n) if c != k]
+            cof = _laurent_det(ctx, free, minor_rows, minor_cols).scale((-1) ** (k + l))
             row.append(cof * det0_inv)
         adj.append(row)
     f0inv = GradedMatrix(ctx, f.rows, f.rows, f.degree, adj)
     rest = GradedMatrix(ctx, f.rows, f.rows, f.degree,
                         f.map_entries(lambda e: e.i_positive_part()), check=False)
-    nil = f0inv @ rest
+    step = -(f0inv @ rest)   # sum_k step^k is the series of (1 + f0inv rest)^-1
     bound = ctx.series_bound(slack=n)
-    geo = GradedMatrix.identity(ctx, f.rows)
-    power = nil
-    sign = -1
-    k = 1
-    while not _is_zero_matrix(power):
-        if k > bound:
-            # entrywise nilpotency evidence and the structural slack are
-            # both exhausted: the geometric series genuinely does not stop
-            raise TruncationRequired(
-                "matrix series does not terminate; set a truncation order")
-        geo = geo + GradedMatrix(ctx, f.rows, f.rows, f.degree,
-                                 power.map_entries(lambda e: e.scale(sign)),
-                                 check=False)
-        power = power @ nil
-        sign = -sign
-        k += 1
+    geo, power = GradedMatrix.identity(ctx, f.rows), step
+    for _ in range(bound):
+        if _is_zero_matrix(power):
+            break
+        geo, power = geo + power, power @ step
+    if not _is_zero_matrix(power):
+        # entrywise nilpotency evidence and the structural slack are both
+        # exhausted: the geometric series genuinely does not stop
+        raise TruncationRequired(
+            "matrix series does not terminate; set a truncation order")
     return geo @ f0inv
 
 
@@ -388,7 +376,7 @@ def rho_ber(f: GradedMatrix) -> GradedPoly:
         # f00 is invertible iff the determinant of its filtration-free part
         # is a Laurent unit, the test inverse() makes
         free00 = f00.map_entries(lambda e: e.i_free_part())
-        _classical_det(ctx, free00).invert()
+        _laurent_det(ctx, free00, ev, ev).invert()
     except NotInvertible:
         return ctx.zero()
     schur = f00 - f01 @ f11_inv @ f10 if od else f00

@@ -69,39 +69,39 @@ def _as_fields(x, atlas: Atlas) -> dict[str, Derivation]:
     return dict(x)
 
 
-def divergence_on_chart(x: Derivation, s: GradedPoly) -> GradedPoly:
-    """sum_a rho(|x^a|, |x^a| + |X|) s^{-1} d/dx^a (X^a s)."""
+def _weighted_partials(x: Derivation, s: GradedPoly,
+                       s_inv: GradedPoly | None = None) -> GradedPoly:
+    """sum_a rho(|x^a|, |x^a| + |X|) d/dx^a (X^a s), each term times s_inv
+    when one is given."""
     ctx = x.ctx
-    if s.ctx != ctx:
-        raise ContextMismatch("density context")
-    try:
-        s_inv = s.invert()
-    except NotInvertible as e:
-        raise NotInvertibleDensity(str(e)) from e
     fac = ctx.factor
     acc = ctx.zero()
     for a, comp in x.components.items():
         v = ctx.variables[a]
         w = ctx.zeta(fac.phase(v.degree, v.degree + x.degree))
-        acc = acc + (s_inv * partial(ctx, v.name).apply(comp * s)).scale(w)
+        term = partial(ctx, v.name).apply(comp * s)
+        if s_inv is not None:
+            term = s_inv * term
+        acc = acc + term.scale(w)
     return acc
+
+
+def divergence_on_chart(x: Derivation, s: GradedPoly) -> GradedPoly:
+    """sum_a rho(|x^a|, |x^a| + |X|) s^{-1} d/dx^a (X^a s)."""
+    if s.ctx != x.ctx:
+        raise ContextMismatch("density context")
+    try:
+        s_inv = s.invert()
+    except NotInvertible as e:
+        raise NotInvertibleDensity(str(e)) from e
+    return _weighted_partials(x, s, s_inv)
 
 
 def lie_derivative_volume(x, vol: VolumeForm) -> dict[str, GradedPoly]:
     """Coefficient of the frame in L_X(D(x) s(x)), per chart."""
     fields = _as_fields(x, vol.atlas)
-    out = {}
-    for name, xc in fields.items():
-        ctx = xc.ctx
-        s = vol.densities[name]
-        fac = ctx.factor
-        acc = ctx.zero()
-        for a, comp in xc.components.items():
-            v = ctx.variables[a]
-            w = ctx.zeta(fac.phase(v.degree, v.degree + xc.degree))
-            acc = acc + partial(ctx, v.name).apply(comp * s).scale(w)
-        out[name] = acc
-    return out
+    return {name: _weighted_partials(xc, vol.densities[name])
+            for name, xc in fields.items()}
 
 
 def divergence(x, vol: VolumeForm) -> dict[str, GradedPoly]:
@@ -133,10 +133,6 @@ class ExactnessResult:
         return {"verdict": self.verdict,
                 "certificate": self.certificate.text() if self.certificate is not None else None,
                 "searched_monomials": self.searched}
-
-
-def _mono_poly(ctx: Context, mono) -> GradedPoly:
-    return GradedPoly(ctx, {mono: Cyclo.one()})
 
 
 def exactness_solve(c: GradedPoly, q: Derivation, degree_bound: int = 8,
@@ -172,7 +168,7 @@ def exactness_solve(c: GradedPoly, q: Derivation, degree_bound: int = 8,
         """Q(m), computed once per monomial."""
         img = images.get(m)
         if img is None:
-            img = images[m] = q.apply(_mono_poly(ctx, m))
+            img = images[m] = q.apply(GradedPoly(ctx, {m: Cyclo.one()}))
         return img
 
     def candidates(monos):
@@ -238,20 +234,21 @@ def _solve_over(ctx: Context, basis, c: GradedPoly, image):
     sol = solve_linear(rows, rhs)
     if sol is None:
         return None
-    out = ctx.zero()
-    for coef, m in zip(sol, basis):
-        if not coef.is_zero():
-            out = out + GradedPoly(ctx, {m: coef})
-    return out
+    # the basis monomials are distinct and the constructor drops zeros
+    return GradedPoly(ctx, dict(zip(basis, sol)))
 
 
-def _bounded_span(ctx: Context, hdeg: Degree, bound: int, cap: int = 4000):
-    """All valid monomials of degree hdeg with l1 exponent norm <= bound."""
+_SPAN_CAP = 4000
+
+
+def _bounded_span(ctx: Context, hdeg: Degree, bound: int):
+    """All valid monomials of degree hdeg with l1 exponent norm <= bound;
+    None past _SPAN_CAP of them."""
     out = []
     mono = [0] * ctx.nvars
 
     def rec(idx: int, budget: int):
-        if len(out) > cap:
+        if len(out) > _SPAN_CAP:
             return
         if idx == ctx.nvars:
             m = tuple(mono)
@@ -267,7 +264,7 @@ def _bounded_span(ctx: Context, hdeg: Degree, bound: int, cap: int = 4000):
         mono[idx] = 0
 
     rec(0, bound)
-    return None if len(out) > cap else out
+    return None if len(out) > _SPAN_CAP else out
 
 
 # -- modular class ----------------------------------------------------------------

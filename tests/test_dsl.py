@@ -385,3 +385,57 @@ def test_cli_survives_mutated_demo(tmp_path, capsys):
         assert "Traceback" not in err, mutant
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("expr, code, value", [
+    # long chains are evaluated down their left spine, not by recursion
+    pytest.param("+".join(["x"] * 1000), 0, "1000 * x", id="sum-1000"),
+    pytest.param("*".join(["x"] * 1000), 0, "x^1000", id="product-1000"),
+    pytest.param("(" * 100 + "x" + ")" * 100, 0, "x", id="parens-100"),
+    pytest.param("-" * 100 + "x", 0, "x", id="minus-100"),
+    # nesting past the parser's limit is a syntax error at the 101st level
+    pytest.param("(" * 101 + "x" + ")" * 101, 2, "line 3, col 111",
+                 id="parens-101"),
+    pytest.param("(" * 260 + "x" + ")" * 260, 2, "line 3, col 111",
+                 id="parens-260"),
+    pytest.param("-" * 1000 + "x", 2, "line 3, col 111", id="minus-1000"),
+    pytest.param("-(" * 500 + "x" + ")" * 500, 2, "line 3, col 111",
+                 id="minus-parens-500"),
+])
+def test_cli_long_and_deep_expressions_without_traceback(tmp_path, capsys,
+                                                         expr, code, value):
+    path = tmp_path / "deep.rc"
+    path.write_text(_U + f"normalize {expr} on U;\n", encoding="utf-8")
+    assert cli.main(["run", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if code == 0:
+        assert err == "" and f'"value": "{value}"' in out
+    else:
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("rhocalc: syntax error: " + value)
+        assert "expected at most 100 nested parentheses" in err
+
+
+@pytest.mark.parametrize("args, env, message", [
+    pytest.param(["--trunc", "-1"], {},
+                 "--trunc must be a nonnegative integer, not '-1'", id="flag-negative"),
+    pytest.param(["--trunc", "abc"], {},
+                 "--trunc must be a nonnegative integer, not 'abc'", id="flag-text"),
+    pytest.param([], {"RHOCALC_TRUNC": "-1"},
+                 "RHOCALC_TRUNC must be a nonnegative integer, not '-1'",
+                 id="env-negative"),
+    pytest.param([], {"RHOCALC_TRUNC": "abc"},
+                 "RHOCALC_TRUNC must be a nonnegative integer, not 'abc'",
+                 id="env-text"),
+])
+def test_cli_rejects_a_bad_truncation(tmp_path, args, env, message):
+    # a negative order used to truncate (1 + x*xi)*(1 + xi) to 0, and a
+    # non-integer RHOCALC_TRUNC quietly became 8
+    session = tmp_path / "t.rc"
+    session.write_text(_U + "normalize (1 + x*xi)*(1 + xi) on U;\n",
+                       encoding="utf-8")
+    out = _run_cli(["run", str(session), *args], cwd=tmp_path, **env)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == f"rhocalc: {message}\n"

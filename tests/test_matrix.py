@@ -12,10 +12,10 @@ from rhocalc.cyclo import Cyclo
 from rhocalc.errors import (GradingViolation, MixedParity, NonzeroDegree,
                             NotInvertible, ShapeMismatch, TruncationRequired)
 from rhocalc.grading import GroupSpec, torus_factor, trivial_factor
-from rhocalc.matrix import (GradedMatrix, classify_tuple, inverse, left_act,
-                            linearize_ber, linearize_det, rho_ber, rho_det,
-                            rho_det_properties_check, rho_tr, right_act,
-                            transpose)
+from rhocalc.matrix import (GradedMatrix, _laurent_det, classify_tuple,
+                            inverse, left_act, linearize_ber, linearize_det,
+                            rho_ber, rho_det, rho_det_properties_check, rho_tr,
+                            right_act, split_point, transpose)
 from conftest import (monomials_by_degree, random_homogeneous,
                       random_scalar, super_context, torus_context)
 
@@ -59,6 +59,59 @@ def permutation_rho_det(f):
             word = word * lifted[k][sigma[k]] * ts[sigma[k]]
         total = total + word
     return GradedPoly(ctx, {m[:ctx.nvars]: c for m, c in total.terms.items()})
+
+
+def adjugate_inverse(f):
+    """inverse() with its own permutation loops: the Laurent determinant and
+    every cofactor by classical_det on a minor grid, and the geometric series
+    with an alternating sign (the oracle of the shared walk in inverse)."""
+    ctx, n = f.ctx, f.nrows
+    free = f.map_entries(lambda e: e.i_free_part())
+    det0_inv = classical_det(free).invert()
+    adj = []
+    for k in range(n):
+        row = []
+        for l in range(n):
+            minor = [[free[r][c] for c in range(n) if c != k]
+                     for r in range(n) if r != l]
+            cof = classical_det(minor) if minor else ctx.one()
+            row.append(cof.scale((-1) ** (k + l)) * det0_inv)
+        adj.append(row)
+    f0inv = GradedMatrix(ctx, f.rows, f.rows, f.degree, adj)
+    rest = GradedMatrix(ctx, f.rows, f.rows, f.degree,
+                        f.map_entries(lambda e: e.i_positive_part()), check=False)
+    nil = f0inv @ rest
+    geo, power, sign = GradedMatrix.identity(ctx, f.rows), nil, -1
+    for _ in range(ctx.series_bound(slack=n) + 1):
+        if all(e.is_zero() for row in power.entries for e in row):
+            return geo @ f0inv
+        geo = geo + GradedMatrix(ctx, f.rows, f.rows, f.degree,
+                                 power.map_entries(lambda e: e.scale(sign)),
+                                 check=False)
+        power, sign = power @ nil, -sign
+    raise TruncationRequired("oracle series does not terminate")
+
+
+def adjugate_rho_ber(f):
+    """rho_ber() on adjugate_inverse and a classical_det unit probe."""
+    ctx, n = f.ctx, f.nrows
+    ev = list(range(split_point(ctx.factor, f.rows)))
+    od = list(range(len(ev), n))
+    f00, f11 = f.submatrix(ev, ev), f.submatrix(od, od)
+    try:
+        f11_inv = adjugate_inverse(f11) if od else f11
+        classical_det(f00.map_entries(lambda e: e.i_free_part())).invert()
+    except NotInvertible:
+        return ctx.zero()
+    schur = f00 - f.submatrix(ev, od) @ f11_inv @ f.submatrix(od, ev) if od else f00
+    return rho_det(schur) * rho_det(f11).invert()
+
+
+def assert_same_bytes(got, want):
+    """Same text and, coefficient by coefficient, the same conductor."""
+    assert got.text() == want.text()
+    assert {m: c.n for m, c in got.terms.items()} == \
+        {m: c.n for m, c in want.terms.items()}
 
 
 def scalar_matrix(ctx, degs, rows):
@@ -725,3 +778,107 @@ def test_rho_det_matches_sympy_on_commuting_entries(rng):
             want = sum((c * x ** i * z ** j * e ** k
                         for (i, j, k), c in want.terms() if k < 2), sympy.Integer(0))
             assert sympy.expand(_sympy_expr(sympy, got, symbols) - want) == 0, n
+
+
+def _root_scalar(rng, conductors):
+    """A random rational times a random root of unity of one of the
+    conductors (a plain rational for conductor 1)."""
+    n = rng.choice(conductors)
+    return Cyclo.root_of_unity(n, rng.randrange(n)) * random_scalar(rng)
+
+
+@pytest.mark.parametrize("conductors", [(1,), (3,), (4,), (8,), (3, 4, 8)])
+def test_laurent_det_matches_the_permutation_sum(sctx, conductors):
+    # commuting entries in x, z and xi*eta: the shared walk's determinant and
+    # each cofactor's minor give the oracle's text and conductors, so the
+    # sign must stay a rational negation (a conductor-2 sign would lift a
+    # rational coefficient to zeta(2) and a conductor-3 one to zeta(6))
+    rng = random.Random(str(conductors))
+    monos = [sctx.zero_mono(), (1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0),
+             (1, 1, 0, 0), (0, 0, 1, 1)]
+
+    def entry():
+        if rng.random() < 0.2:
+            return sctx.zero()
+        return GradedPoly(sctx, {m: _root_scalar(rng, conductors)
+                                 for m in rng.sample(monos, rng.randint(1, 2))})
+
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(4):
+            grid = [[entry() for _ in range(n)] for _ in range(n)]
+            assert_same_bytes(_laurent_det(sctx, grid, range(n), range(n)),
+                              classical_det(grid))
+            if n > 1:
+                k, l = rng.randrange(n), rng.randrange(n)
+                rows = [r for r in range(n) if r != l]
+                cols = [c for c in range(n) if c != k]
+                minor = [[grid[r][c] for c in cols] for r in rows]
+                assert_same_bytes(_laurent_det(sctx, grid, rows, cols),
+                                  classical_det(minor))
+
+
+def test_laurent_det_restarts_a_cancelled_coefficient(sctx):
+    # zeta8 and -zeta8 cancel first; the sum then restarts at -zeta4's
+    # conductor, so it prints as -zeta(4), not -zeta(8)^2
+    z8, z4 = Cyclo.root_of_unity(8), Cyclo.root_of_unity(4)
+    grid = [[sctx.scalar(v) for v in row]
+            for row in [[z8, z4, 0], [1, 1, 1], [0, 1, 1]]]
+    got = _laurent_det(sctx, grid, range(3), range(3))
+    assert_same_bytes(got, classical_det(grid))
+    assert got.text() == "-zeta(4)"
+    assert [c.n for c in got.terms.values()] == [4]
+
+
+def _torus_ctx(den):
+    plain = _twisted_torus_context(Fraction(1, den))
+    return Context(plain.factor, plain.variables, 3, name=f"torus{den}")
+
+
+def _inverse_case(family, n, rng):
+    """A degree-0 matrix whose Laurent part mixes rationals with roots of
+    unity of conductors 3, 4 and 8: super with a split tuple (the even and
+    odd blocks carry scalars), torus4/torus8/torus3 with repeated slots."""
+    if family == "super":
+        ctx = super_context()
+        g = ctx.factor.group
+        degs = tuple(g.degree(0 if k < (n + 1) // 2 else 1) for k in range(n))
+        make = _rand_entry
+    else:
+        ctx = _torus_ctx(int(family[5:]))
+        g = ctx.factor.group
+        degs = tuple(g.degree(*s) for s in
+                     [(0, 0), (0, 0), (1, 0), (1, 0), (0, 1)][:n])
+        make = _bucket_entry
+    ents = [[make(ctx, rng, degs[k] - degs[l]) for l in range(n)]
+            for k in range(n)]
+    for k in range(n):
+        for l in range(n):
+            if degs[k] == degs[l] and (k == l or rng.random() < 0.5):
+                ents[k][l] = ents[k][l] + ctx.scalar(_root_scalar(rng, (1, 3, 4, 8)))
+            elif rng.random() < 0.2:
+                ents[k][l] = ctx.zero()
+    return GradedMatrix(ctx, degs, degs, g.zero(), ents)
+
+
+@pytest.mark.parametrize("family", ["super", "torus4", "torus8", "torus3"])
+def test_inverse_and_ber_match_the_adjugate_oracle(family):
+    # inverse's determinant and cofactors and rho_ber's unit probe run on
+    # the shared walk: same entries, conductors and failures as before
+    rng = random.Random(family)
+    checked = 0
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            f = _inverse_case(family, n, rng)
+            assert_same_bytes(rho_ber(f), adjugate_rho_ber(f))
+            try:
+                want = adjugate_inverse(f)
+            except NotInvertible:
+                with pytest.raises(NotInvertible):
+                    inverse(f)
+                continue
+            got = inverse(f)
+            for got_row, want_row in zip(got.entries, want.entries):
+                for a, b in zip(got_row, want_row):
+                    assert_same_bytes(a, b)
+            checked += 1
+    assert checked >= 8
