@@ -78,10 +78,9 @@ class Context:
         self.variables: tuple[Var, ...] = tuple(vs)
         self._index = seen
         # pair phases as integers k for zeta_N^k, N the factor's conductor
-        n = factor.conductor
-        self._pair = [[int(factor.phase(vi.degree, vj.degree) * n)
+        self._pair = [[factor.phase_k(vi.degree, vj.degree)
                        for vj in self.variables] for vi in self.variables]
-        self._roots: list[Cyclo | None] = [None] * n
+        self._roots: list[Cyclo | None] = [None] * factor.conductor
         self._degree_cache: dict[tuple[int, ...], object] = {}
 
     # -- lookups -------------------------------------------------------------
@@ -289,6 +288,17 @@ def restrict_poly(f: "GradedPoly", small: Context) -> "GradedPoly":
             raise ContextMismatch("polynomial involves extended variables")
         terms[mono[:n]] = c
     return GradedPoly(small, terms)
+
+
+def add_term(terms: dict, mono, c: Cyclo) -> None:
+    """terms[mono] += c for a nonzero c, deleting the entry the moment it
+    cancels: a coefficient that restarts keeps no conductor of the old run."""
+    s = terms.get(mono)
+    c = c if s is None else s + c
+    if c.is_zero():
+        del terms[mono]
+    else:
+        terms[mono] = c
 
 
 class GradedPoly:

@@ -3,8 +3,11 @@
 A derivation is determined by its values on the generators (termwise action
 on the coefficient-times-monomial decomposition), so it is stored as a finite
 component map together with its degree.  Application implements the twisted
-Leibniz rule exactly; the commutator of two derivations is again a
-derivation, computed on generators.
+Leibniz rule exactly as one term kernel: each term of the block X(x_a^e)
+goes between the monomial's prefix and suffix by two `mono_mul` calls into
+one dict, with integer phases, making the scalar products of prefix * block
+* suffix (one root per reordering), so no conductor moves.  The commutator
+of two derivations is again a derivation, computed on generators.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import BASE, Context, GradedPoly, Var, lift_poly, substitute
+from .algebra import BASE, Context, GradedPoly, Var, add_term, lift_poly, substitute
 from .cyclo import Cyclo
 from .errors import (ConstraintViolation, ContextMismatch, DegreeMismatch,
                      GradingViolation)
@@ -39,6 +42,8 @@ class Derivation:
                     f"{name}({ctx.variables[a].name}) must have degree {want.text()}")
             comps[a] = p
         self.components = comps
+        # rho(|X|, |x_b|) = zeta_N^row[b]
+        self._row = [ctx.factor.phase_k(degree, v.degree) for v in ctx.variables]
 
     def component(self, a: int) -> GradedPoly:
         return self.components.get(a, self.ctx.zero())
@@ -65,46 +70,58 @@ class Derivation:
         if f.ctx != self.ctx:
             raise ContextMismatch("derivation applied across contexts")
         ctx = self.ctx
-        fac = ctx.factor
-        out = ctx.zero()
+        out: dict = {}
         for mono, coef in f.terms.items():
-            left_deg = fac.group.zero()
+            k = 0  # rho(|X|, degree of the factors left of x_a) = zeta_N^k
             for a, e in enumerate(mono):
-                if e == 0:
-                    continue
-                v = ctx.variables[a]
-                comp = self.components.get(a)
+                comp = self.components.get(a) if e else None
                 if comp is not None:
-                    block = self._power_derivative(a, e, comp)
-                    if not block.is_zero():
-                        pre = list(mono[:a]) + [0] * (ctx.nvars - a)
-                        suf = [0] * (a + 1) + list(mono[a + 1:])
-                        prefix = GradedPoly(ctx, {tuple(pre): Cyclo.one()})
-                        suffix = GradedPoly(ctx, {tuple(suf): Cyclo.one()})
-                        piece = prefix * block * suffix
-                        phase = fac.phase(self.degree, left_deg)
-                        c = coef if phase == 0 else coef * ctx.zeta(phase)
-                        out = out + piece.scale(c)
-                left_deg = left_deg + v.degree * e
-        return out
+                    c = coef * ctx.root(k) if k else coef
+                    pre = mono[:a] + (0,) * (ctx.nvars - a)
+                    suf = (0,) * (a + 1) + mono[a + 1:]
+                    for m, v in self._power_derivative(a, e, comp).items():
+                        hit = self._sandwich(pre, m, v, suf)
+                        if hit is not None:
+                            add_term(out, hit[0], c * hit[1])
+                k = (k + e * self._row[a]) % ctx.conductor
+        return GradedPoly(ctx, out)
 
-    def _power_derivative(self, a: int, e: int, comp: GradedPoly) -> GradedPoly:
-        """X applied to x_a^e as one Leibniz block."""
+    def _sandwich(self, lo, m, c, hi):
+        """lo * (c m) * hi as (monomial, coefficient), None if it vanishes;
+        one root per reordering, as in a product of three polynomials."""
         ctx = self.ctx
-        v = ctx.variables[a]
-        if v.kind == BASE:
+        r1 = ctx.mono_mul(lo, m)
+        r2 = r1 and ctx.mono_mul(r1[1], hi)
+        if r2 is not None:
+            for k in (r1[0], r2[0]):
+                if k:
+                    c = c * ctx.root(k)
+            return r2[1], c
+
+    def _power_derivative(self, a: int, e: int, comp: GradedPoly) -> dict:
+        """The terms of X applied to x_a^e, one Leibniz block."""
+        ctx = self.ctx
+        kind = ctx.variables[a].kind
+        if kind == ODD:
+            return comp.terms
+
+        def power(p):
+            return (0,) * a + (p,) + (0,) * (ctx.nvars - a - 1)
+        if kind == BASE:
             # degree-0 variable: commutes with everything, plain power rule,
             # valid for negative exponents of Laurent variables too
-            return ctx.monomial(e, {v.name: e - 1}) * comp
-        if v.kind == ODD:
-            return comp
-        out = ctx.zero()
-        step = ctx.factor.phase(self.degree, v.degree)
-        for j in range(e):
-            left = ctx.monomial(ctx.zeta(step * j) if step else 1, {v.name: j})
-            right = ctx.monomial(1, {v.name: e - 1 - j})
-            out = out + left * comp * right
-        return out
+            return {r[1]: c * e * ctx.root(r[0]) if r[0] else c * e
+                    for m, c in comp.terms.items()
+                    if (r := ctx.mono_mul(power(e - 1), m)) is not None}
+        block: dict = {}
+        for j in range(e):  # sum_j rho(X, x_a)^j x_a^j X^a x_a^(e-1-j)
+            w = self._row[a] * j % ctx.conductor
+            for m, c in comp.terms.items():
+                hit = self._sandwich(power(j), m, ctx.root(w) * c if w else c,
+                                     power(e - 1 - j))
+                if hit is not None:
+                    add_term(block, *hit)
+        return block
 
     # -- algebra of derivations ---------------------------------------------------
 

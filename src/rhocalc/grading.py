@@ -105,7 +105,7 @@ class Degree:
 class CommutationFactor:
     """A bicharacter G x G -> roots of unity given by a rational phase matrix."""
 
-    __slots__ = ("group", "phases", "conductor")
+    __slots__ = ("group", "phases", "conductor", "_k")
 
     def __init__(self, group: GroupSpec, phases):
         rows = tuple(tuple(Fraction(x) for x in row) for row in phases)
@@ -132,27 +132,25 @@ class CommutationFactor:
             for x in row:
                 den = math.lcm(den, x.denominator)
         self.conductor = den
+        self._k = tuple(tuple(int(x * den) for x in row) for row in rows)
 
     # -- evaluation ----------------------------------------------------------
 
+    def phase_k(self, i: Degree, j: Degree) -> int:
+        """The k in 0..N-1 with rho(i, j) = zeta_N^k, N the conductor."""
+        return sum(ia * jb * self._k[a][b] for a, ia in enumerate(i.parts) if ia
+                   for b, jb in enumerate(j.parts) if jb) % self.conductor
+
     def phase(self, i: Degree, j: Degree) -> Fraction:
         """The rational phase of rho(i, j), reduced mod 1."""
-        acc = Fraction(0)
-        for a, ia in enumerate(i.parts):
-            if ia == 0:
-                continue
-            row = self.phases[a]
-            for b, jb in enumerate(j.parts):
-                if jb:
-                    acc += ia * jb * row[b]
-        return acc % 1
+        return Fraction(self.phase_k(i, j), self.conductor)
 
     def rho(self, i: Degree, j: Degree) -> Cyclo:
         return Cyclo.from_phase(self.phase(i, j))
 
     def parity(self, i: Degree) -> str:
         """EVEN if rho(i,i) = +1, ODD if -1."""
-        return EVEN if self.phase(i, i) == 0 else ODD
+        return EVEN if self.phase_k(i, i) == 0 else ODD
 
     # -- constructions -------------------------------------------------------
 

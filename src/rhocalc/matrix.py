@@ -8,7 +8,7 @@ alternating variables; the graded Berezinian by the Schur complement.
 
 from __future__ import annotations
 
-from .algebra import Context, GradedPoly, Var, lift_poly, prime_context
+from .algebra import Context, GradedPoly, Var, add_term, lift_poly, prime_context
 from .errors import (GradingViolation, MixedParity, NonzeroDegree,
                      NotInvertible, NotSplitTuple, ShapeMismatch,
                      TruncationRequired)
@@ -221,12 +221,7 @@ def _expand(start: GradedPoly, rows, cols, extend) -> GradedPoly:
     def walk(word: GradedPoly, k: int, free: list):
         if k == len(rows):
             for mono, c in word.terms.items():
-                s = total.get(mono)
-                c = c if s is None else s + c
-                if c.is_zero():
-                    del total[mono]
-                else:
-                    total[mono] = c
+                add_term(total, mono, c)
             return
         for pos, col in enumerate(free):
             nxt = extend(word, rows[k], col, pos & 1)

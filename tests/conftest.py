@@ -10,7 +10,7 @@ import pytest
 
 from rhocalc.algebra import Context, GradedPoly, Var
 from rhocalc.cyclo import Cyclo
-from rhocalc.derivation import Derivation
+from rhocalc.derivation import Derivation, LieStructure, ce_differential
 from rhocalc.grading import super_factor, torus_factor, GroupSpec
 from rhocalc.grading import validate_factor
 
@@ -36,6 +36,31 @@ def torus_context(theta12=Fraction(1, 4), truncation=None) -> Context:
     return Context(fac, [Var("u1", g.generator(0), "even"),
                          Var("u2", g.generator(1), "even")],
                    truncation, name="torus")
+
+
+def torus8_context() -> Context:
+    """Conductor 8: rho(u1, u2) = zeta_8, with duals v1, v2 of opposite degree."""
+    fac = torus_factor([[0, Fraction(1, 8)], [-Fraction(1, 8), 0]])
+    g = fac.group
+    return Context(fac, [Var("u1", g.generator(0), "even"),
+                         Var("u2", g.generator(1), "even"),
+                         Var("v1", -g.generator(0), "even"),
+                         Var("v2", -g.generator(1), "even")], name="torus8")
+
+
+def chevalley_context():
+    """(ctx, Q) for [e1, e2] = e3 over the 1/8 torus times Z/2 with e1 odd.
+
+    The prime context has conductor 8, even xi1 and xi3 and an odd xi2.
+    """
+    fac = validate_factor(GroupSpec(2, (2,)), [[0, Fraction(1, 8), 0],
+                                               [-Fraction(1, 8), 0, 0],
+                                               [0, 0, Fraction(1, 2)]])
+    g = fac.group
+    e1, e2 = g.degree(1, 0, 1), g.degree(0, 1, 0)
+    lie = LieStructure(fac, (e1, e2, e1 + e2), g.zero(),
+                       {(0, 1, 2): Cyclo.one(), (1, 0, 2): -fac.rho(e2, e1)})
+    return ce_differential(lie)
 
 
 def zline_context(truncation=None) -> Context:

@@ -14,7 +14,7 @@ from rhocalc.errors import (ConstraintViolation, ContextMismatch, NegativePower,
 from rhocalc.grading import super_factor, torus_factor
 
 from conftest import (random_homogeneous, random_poly, super_context,
-                      torus_context, zline_context)
+                      torus8_context, torus_context, zline_context)
 
 
 def test_context_rejects_bad_variables():
@@ -305,19 +305,10 @@ def test_prime_context_preserves_products(rng):
         assert lf * lg == GradedPoly(big, dict((f * g).terms))
 
 
-def _torus8_context():
-    fac = torus_factor([[0, Fraction(1, 8)], [-Fraction(1, 8), 0]])
-    g = fac.group
-    return Context(fac, [Var("u1", g.generator(0), "even"),
-                         Var("u2", g.generator(1), "even"),
-                         Var("v1", -g.generator(0), "even"),
-                         Var("v2", -g.generator(1), "even")], name="torus8")
-
-
 def test_mono_mul_phase_is_an_integer_mod_the_conductor(rng):
     # mono_mul's phase k stands for zeta_N^k: it must be N times the rho
     # reordering phase, summed as Fractions with factor.phase, mod N
-    t8 = _torus8_context()
+    t8 = torus8_context()
     fac, g8 = t8.factor, t8.factor.group
     primed = prime_context(t8, [Var("t1", fac.prime_degree(1, g8.generator(0)), "odd"),
                                 Var("t2", fac.prime_degree(1, -g8.generator(1)), "odd")])

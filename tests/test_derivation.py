@@ -15,8 +15,9 @@ from rhocalc.errors import (ConstraintViolation, DegreeMismatch,
                             GradingViolation)
 from rhocalc.grading import GroupSpec, super_factor, trivial_factor
 
-from conftest import (random_derivation, random_homogeneous, random_poly,
-                      super_context, torus_context, zline_context)
+from conftest import (chevalley_context, random_derivation,
+                      random_homogeneous, random_poly, super_context,
+                      torus8_context, torus_context, zline_context)
 
 
 def test_partial_on_powers(sctx):
@@ -80,7 +81,8 @@ def test_torus_partial(tctx):
 
 
 def test_leibniz_fuzz(rng):
-    for ctx in (super_context(), torus_context(), zline_context(None)):
+    for ctx in (super_context(), torus_context(), zline_context(None),
+                torus8_context(), chevalley_context()[0]):
         fac = ctx.factor
         for _ in range(35):
             x = random_derivation(ctx, rng)
@@ -90,6 +92,115 @@ def test_leibniz_fuzz(rng):
                 continue
             w = ctx.zeta(fac.phase(x.degree, f.degree_of()))
             assert x.apply(f * g) == x.apply(f) * g + (f * x.apply(g)).scale(w)
+
+
+def leibniz_apply(x: Derivation, f: GradedPoly) -> GradedPoly:
+    """X(f) as a sum of polynomial products prefix * X(x_a^e) * suffix.
+
+    The product form `Derivation.apply` had before its term kernel, kept as
+    the byte oracle: the kernel must make the same scalar products.
+    """
+    ctx, fac = x.ctx, x.ctx.factor
+    out = ctx.zero()
+    for mono, coef in f.terms.items():
+        left_deg = fac.group.zero()
+        for a, e in enumerate(mono):
+            if e == 0:
+                continue
+            v = ctx.variables[a]
+            comp = x.components.get(a)
+            if comp is not None:
+                if v.kind == "base":
+                    block = ctx.monomial(e, {v.name: e - 1}) * comp
+                elif v.kind == "odd":
+                    block = comp
+                else:
+                    block = ctx.zero()
+                    step = fac.phase(x.degree, v.degree)
+                    for j in range(e):
+                        left = ctx.monomial(ctx.zeta(step * j) if step else 1,
+                                            {v.name: j})
+                        right = ctx.monomial(1, {v.name: e - 1 - j})
+                        block = block + left * comp * right
+                if not block.is_zero():
+                    pre = mono[:a] + (0,) * (ctx.nvars - a)
+                    suf = (0,) * (a + 1) + mono[a + 1:]
+                    piece = (GradedPoly(ctx, {pre: Cyclo.one()}) * block
+                             * GradedPoly(ctx, {suf: Cyclo.one()}))
+                    phase = fac.phase(x.degree, left_deg)
+                    c = coef if phase == 0 else coef * ctx.zeta(phase)
+                    out = out + piece.scale(c)
+            left_deg = left_deg + v.degree * e
+    return out
+
+
+def assert_same_bytes(got: GradedPoly, want: GradedPoly):
+    assert got.text() == want.text()
+    assert ({m: (c.n, c.coeffs) for m, c in got.terms.items()}
+            == {m: (c.n, c.coeffs) for m, c in want.terms.items()})
+
+
+def test_kernel_matches_leibniz_oracle_bytes(rng):
+    chev, q = chevalley_context()
+    contexts = (super_context(), torus_context(), torus8_context(), chev,
+                zline_context(None), zline_context(3))
+    for ctx in contexts:
+        fields = [partial(ctx, v.name) for v in ctx.variables]
+        fields += [random_derivation(ctx, rng, terms=3) for _ in range(25)]
+        if ctx is chev:
+            fields.append(q)
+        for x in fields:
+            for _ in range(2):
+                f = random_poly(ctx, rng, terms=5, maxexp=3)
+                assert_same_bytes(x.apply(f), leibniz_apply(x, f))
+
+
+def test_kernel_drops_a_cancelled_coefficient_before_it_restarts():
+    # X(u1) leaves zeta_8 at u1*u2*v2; on the term u1*u2*v2 the u1 factor
+    # cancels it, then the u2 factor restarts it as zeta_4 at conductor 4
+    ctx = torus8_context()
+    u1, u2, v2 = ctx.gen("u1"), ctx.gen("u2"), ctx.gen("v2")
+    z8, z4 = ctx.root(1), ctx.root(2)
+    x = Derivation(ctx, ctx.factor.group.zero(),
+                   {0: (u1 * u2 * v2 - u1).scale(z8), 1: u2.scale(z4)})
+    f = u1 + u1 * u2 * v2
+    got = x.apply(f)
+    assert got.coefficient((1, 1, 0, 1)).n == 4
+    assert "zeta(4) * u1 * u2 * v2" in got.text()
+    assert_same_bytes(got, leibniz_apply(x, f))
+
+
+def test_kernel_keeps_one_root_per_reordering():
+    # in X(v1^3) the middle Leibniz term reorders twice by zeta_8^7: the
+    # product zeta_8^14 stays at conductor 8, where zeta_8^6 alone is at 4
+    ctx = torus8_context()
+    comp = ctx.gen("u2") * ctx.gen("v1") * ctx.gen("v2")
+    x = Derivation(ctx, ctx.factor.group.zero(), {2: comp})
+    f = ctx.gen("v1", 3)
+    got = x.apply(f)
+    assert got.coefficient((0, 1, 3, 1)).n == 8
+    assert_same_bytes(got, leibniz_apply(x, f))
+
+
+def test_apply_makes_no_polynomial_products(rng, monkeypatch):
+    calls = []
+    mul = GradedPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    ctx = zline_context(None)
+    x = Derivation(ctx, ctx.factor.group.degree(1),
+                   {ctx.index("z"): ctx.gen("th"),
+                    ctx.index("th"): ctx.gen("w"),
+                    ctx.index("w"): ctx.gen("th") * ctx.gen("w")})
+    f = random_poly(ctx, rng, terms=6) + ctx.monomial(3, {"z": -2, "th": 1, "w": 3})
+    monkeypatch.setattr(GradedPoly, "__mul__", counted)
+    got = x.apply(f)
+    monkeypatch.undo()
+    assert not calls
+    assert_same_bytes(got, leibniz_apply(x, f))
 
 
 def test_termwise_action(rng):

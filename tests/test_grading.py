@@ -10,6 +10,8 @@ from rhocalc.errors import ConstraintViolation
 from rhocalc.grading import (GroupSpec, super_factor, torus_factor,
                              trivial_factor, validate_factor)
 
+from conftest import torus8_context
+
 
 def test_group_spec_validation():
     with pytest.raises(ConstraintViolation):
@@ -126,6 +128,24 @@ def test_factor_axioms_fuzz(label, factory, ngens):
         # parity is multiplicative
         assert fac.rho(i + j, i + j) == (fac.rho(i, i) * fac.rho(j, j)
                                          * fac.rho(i, j) * fac.rho(j, i))
+
+
+@pytest.mark.parametrize("label,factory", [(lab, fac) for lab, fac, _ in FACTORIES] + [
+    ("torus8", lambda: torus8_context().factor),
+    ("torus8''", lambda: torus8_context().factor.extend_prime().extend_prime())])
+def test_integer_phase_is_the_fraction_bilinear_sum(label, factory):
+    fac = factory()
+    g, n = fac.group, fac.conductor
+    rng = random.Random(label)
+    for _ in range(300):
+        i = g.degree(*[rng.randint(-5, 5) for _ in range(g.ngens)])
+        j = g.degree(*[rng.randint(-5, 5) for _ in range(g.ngens)])
+        want = sum((ia * jb * fac.phases[a][b]
+                    for a, ia in enumerate(i.parts)
+                    for b, jb in enumerate(j.parts)), Fraction(0)) % 1
+        k = fac.phase_k(i, j)
+        assert 0 <= k < n and Fraction(k, n) == want
+        assert fac.phase(i, j) == want
 
 
 def test_phase_matrix_shape_checks():
