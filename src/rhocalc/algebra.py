@@ -16,6 +16,7 @@ representatives mod the (T+1)-st power of the formal ideal.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -80,6 +81,11 @@ class Context:
         # pair phases as integers k for zeta_N^k, N the factor's conductor
         self._pair = [[factor.phase_k(vi.degree, vj.degree)
                        for vj in self.variables] for vi in self.variables]
+        # (index, lowest, highest exponent) for each bounded variable
+        self._bounds = [(i, -math.inf if v.invertible else 0,
+                         math.inf if v.cap is None else v.cap)
+                        for i, v in enumerate(self.variables)
+                        if not v.invertible or v.cap is not None]
         self._roots: list[Cyclo | None] = [None] * factor.conductor
         self._degree_cache: dict[tuple[int, ...], object] = {}
 
@@ -141,10 +147,8 @@ class Context:
     def mono_valid(self, mono: tuple[int, ...]) -> bool:
         """Valid and nonzero: negatives only on Laurent vars, caps respected,
         within the truncation."""
-        for e, v in zip(mono, self.variables):
-            if e < 0 and not v.invertible:
-                return False
-            if v.cap is not None and e > v.cap:
+        for i, low, high in self._bounds:
+            if not low <= mono[i] <= high:
                 return False
         return self.truncation is None or self.i_order(mono) <= self.truncation
 
@@ -186,7 +190,7 @@ class Context:
                 eb = m2[b]
                 if eb:
                     phase += ea * eb * row[b]
-        out = tuple(x + y for x, y in zip(m1, m2))
+        out = tuple(map(operator.add, m1, m2))
         return (phase % self.factor.conductor, out) if self.mono_valid(out) else None
 
     # -- element constructors --------------------------------------------------

@@ -1,11 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 Elements are stored in the power basis 1, z, ..., z^(phi(N)-1) modulo the
-N-th cyclotomic polynomial, with Fraction coefficients.  Working modulo the
-cyclotomic polynomial (rather than z^N - 1) keeps the ring a field, so every
-nonzero element is invertible.  Values at different conductors unify by
-lifting to the lcm; the lift z_N -> z_M^(M/N) is injective and preserves
-arithmetic.
+N-th cyclotomic polynomial, as integer numerators over one positive
+denominator in lowest terms (the nf_elem layout of FLINT/Antic), so a value
+has one representation at each conductor and Fractions are built only to
+print.  Working modulo the cyclotomic polynomial (rather than z^N - 1) keeps
+the ring a field, so every nonzero element is invertible.  Values at
+different conductors unify by lifting to the lcm; the lift z_N -> z_M^(M/N)
+is injective and preserves arithmetic.
 """
 
 from __future__ import annotations
@@ -17,21 +19,20 @@ from functools import lru_cache
 from .errors import NotInvertible
 
 
-def _int_poly_divide(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # Exact division by a monic integer polynomial.
-    num = list(num)
+def _divmod(num, den: tuple[int, ...]):
+    # quotient and remainder (deg den entries) of integer polynomials,
+    # ascending degree, by a monic den
     dd = len(den) - 1
-    out = [0] * (len(num) - dd)
+    num = list(num) + [0] * (dd - len(num))
+    quot = [0] * (len(num) - dd)
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
-        if c == 0:
-            continue
-        out[i - dd] = c
-        for j, dj in enumerate(den):
-            num[i - dd + j] -= c * dj
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+        if c:
+            quot[i - dd] = c
+            for j, dj in enumerate(den):
+                if dj:
+                    num[i - dd + j] -= c * dj
+    return quot, tuple(num[:dd])
 
 
 @lru_cache(maxsize=None)
@@ -44,11 +45,12 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n // 2 + 1):
         if n % d == 0:
-            num = _int_poly_divide(num, cyclotomic_poly(d))
+            num, rest = _divmod(num, cyclotomic_poly(d))
+            if any(rest):
+                raise ArithmeticError("non-exact polynomial division")
     return tuple(num)
 
 
-_ZERO = Fraction(0)
 _CHUNK = 10 ** 1000
 
 
@@ -74,36 +76,54 @@ def signed_sum(parts) -> str:
     return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
-def _reduce(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    phi = cyclotomic_poly(n)
-    deg = len(phi) - 1
-    coeffs = list(coeffs)
-    for i in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        coeffs[i] = _ZERO
-        for j in range(deg):
-            coeffs[i - deg + j] -= c * phi[j]
-    coeffs = coeffs[:deg] + [_ZERO] * (deg - len(coeffs))
-    return tuple(coeffs[:deg])
+def _reduce(num, n: int) -> tuple[int, ...]:
+    return _divmod(num, cyclotomic_poly(n))[1]
+
+
+def _mul_num(a, b, n: int) -> tuple[int, ...]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return _reduce(out, n)
+
+
+def _new(n: int, num, den: int) -> "Cyclo":
+    # the normal form: den > 0, gcd(den, *num) == 1, so zero has den 1
+    g = math.gcd(den, *num)
+    x = object.__new__(Cyclo)
+    x.n = n
+    x.num = tuple(num) if g == 1 else tuple(a // g for a in num)
+    x.den = den // g
+    return x
 
 
 class Cyclo:
-    """An element of Q(zeta_n) in the power basis modulo Phi_n."""
+    """An element of Q(zeta_n) in the power basis modulo Phi_n: the
+    integers `num` over `den`, with den > 0 and gcd(den, *num) == 1."""
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs, *, reduce: bool = True):
-        self.n = n
-        vals = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        self.coeffs = _reduce(vals, n) if reduce else tuple(vals)
+        vals = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(v.denominator for v in vals))
+        num = [v.numerator * (den // v.denominator) for v in vals]
+        x = _new(n, _reduce(num, n) if reduce else num, den)
+        self.n, self.num, self.den = n, x.num, x.den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(a, self.den) for a in self.num)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def rational(x) -> "Cyclo":
-        return Cyclo(1, [Fraction(x)], reduce=False)
+        q = Fraction(x)
+        return _new(1, (q.numerator,), q.denominator)
 
     @staticmethod
     def zero() -> "Cyclo":
@@ -117,9 +137,7 @@ class Cyclo:
     def root_of_unity(n: int, k: int = 1) -> "Cyclo":
         """zeta_n^k, reduced into the power basis."""
         k %= n
-        coeffs = [_ZERO] * (k + 1)
-        coeffs[k] = Fraction(1)
-        return Cyclo(n, coeffs)
+        return _new(n, _reduce((0,) * k + (1,), n), 1)
 
     @staticmethod
     def from_phase(phase: Fraction) -> "Cyclo":
@@ -136,10 +154,9 @@ class Cyclo:
         if m % self.n:
             raise ValueError("lift target must be a conductor multiple")
         step = m // self.n
-        out = [_ZERO] * (len(self.coeffs) * step + 1)
-        for k, c in enumerate(self.coeffs):
-            out[k * step] = c
-        return Cyclo(m, out)
+        out = [0] * ((len(self.num) - 1) * step + 1)
+        out[::step] = self.num
+        return _new(m, _reduce(out, m), self.den)
 
     @staticmethod
     def _unify(a: "Cyclo", b: "Cyclo"):
@@ -151,28 +168,29 @@ class Cyclo:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational value")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        a, b = Cyclo._unify(self, other)
-        n = len(a.coeffs)
-        return Cyclo(a.n, [a.coeffs[i] + b.coeffs[i] for i in range(n)], reduce=False)
+        a, b = Cyclo._unify(self, _coerce(other))
+        da, db = a.den, b.den
+        if da == db:
+            return _new(a.n, [x + y for x, y in zip(a.num, b.num)], da)
+        return _new(a.n, [x * db + y * da for x, y in zip(a.num, b.num)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.n, [-c for c in self.coeffs], reduce=False)
+        return _new(self.n, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -183,37 +201,36 @@ class Cyclo:
     def __mul__(self, other):
         other = _coerce(other)
         if self.n == 1 or other.n == 1:  # scale; the lcm is the other's conductor
-            r, x = (self.coeffs[0], other) if self.n == 1 else (other.coeffs[0], self)
-            return x if r == 1 else Cyclo(x.n, [r * c for c in x.coeffs], reduce=False)
+            r, x = (self, other) if self.n == 1 else (other, self)
+            p, q = r.num[0], r.den
+            return x if p == q == 1 else _new(x.n, [p * a for a in x.num], q * x.den)
         a, b = Cyclo._unify(self, other)
-        n = len(a.coeffs)
-        out = [_ZERO] * (2 * n - 1 if n else 1)
-        for i, ci in enumerate(a.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(b.coeffs):
-                if cj:
-                    out[i + j] += ci * cj
-        return Cyclo(a.n, out)
+        return _new(a.n, _mul_num(a.num, b.num, a.n), a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
         if self.is_zero():
             raise NotInvertible("zero has no inverse")
+        n, num = self.n, self.num
         if self.is_rational():
-            return Cyclo(self.n, [1 / self.coeffs[0]] + [_ZERO] * (len(self.coeffs) - 1), reduce=False)
-        # 1/a is the product of a's other Galois conjugates (z -> z^k, k
-        # coprime to n) over the norm, which is rational: the result stays
-        # in Q(zeta_n) and its reduced form there is unique.
-        rest = Cyclo.one()
-        for k in range(2, self.n):
-            if math.gcd(k, self.n) == 1:
-                conj = [_ZERO] * self.n
-                for j, c in enumerate(self.coeffs):
-                    conj[j * k % self.n] = c
-                rest = rest * Cyclo(self.n, conj)
-        return rest * (1 / (self * rest).coeffs[0])
+            rest, norm = (1,) + (0,) * (len(num) - 1), num[0]
+        else:
+            # 1/a is the product of a's other Galois conjugates (z -> z^k, k
+            # coprime to n) over the norm, which is an integer for integer
+            # num: the result stays in Q(zeta_n), where its reduced form is
+            # unique.
+            rest = (1,)
+            for k in range(2, n):
+                if math.gcd(k, n) == 1:
+                    conj = [0] * n
+                    for j, c in enumerate(num):
+                        conj[j * k % n] = c
+                    rest = _mul_num(rest, _reduce(conj, n), n)
+            norm = _mul_num(num, rest, n)[0]
+        if norm < 0:
+            rest, norm = [-a for a in rest], -norm
+        return _new(n, [self.den * a for a in rest], norm)
 
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
@@ -239,7 +256,7 @@ class Cyclo:
         if not isinstance(other, Cyclo):
             return NotImplemented
         a, b = Cyclo._unify(self, other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # mutable-free but conductor-dependent representation
 
@@ -252,11 +269,11 @@ class Cyclo:
         that made them lifted to different conductors (zeta(4) times
         zeta(8)/zeta(8) prints as zeta(8)^2)."""
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, a in enumerate(self.num):
+            if a == 0:
                 continue
-            sign = "-" if c < 0 else "+"
-            ac = -c if c < 0 else c
+            sign = "-" if a < 0 else "+"
+            ac = Fraction(abs(a), self.den)
             if k == 0:
                 mag = fraction_text(ac)
             else:
@@ -269,7 +286,7 @@ class Cyclo:
         return f"Cyclo({self.n}, {self.text()!r})"
 
     def n_terms(self) -> int:
-        return sum(1 for c in self.coeffs if c != 0)
+        return sum(1 for a in self.num if a)
 
 
 def _coerce(x) -> Cyclo:

@@ -244,7 +244,10 @@ def rho_det(f: GradedMatrix) -> GradedPoly:
     rules require; the trivial factor then gives the classical determinant.
 
     `_expand` walks the permutations (the odd t's carry the sign), as it does
-    for inverse()'s Laurent determinant and cofactors.  The O(n 2^n) row
+    for inverse()'s Laurent determinant and cofactors.  Each step forms
+    word * f_kl and appends t_l by a shift, not a second product: t_l's slot
+    goes up by one, and a coefficient is multiplied by the root for moving
+    t_l left past the later t's when that root is not 1.  The O(n 2^n) row
     product prod_k (sum_l f_kl t_l) regroups the sums, moving conductors and
     printed text: it waits for a conductor-free scalar text.
     """
@@ -266,11 +269,19 @@ def rho_det(f: GradedMatrix) -> GradedPoly:
     aux = (prime_context if even else Context.extend)(
         ctx, tvars, truncation=_bumped(ctx.truncation, n), name="det-aux")
     lifted = [[lift_poly(e, aux) for e in row] for row in f.entries]
-    tpolys = [aux.gen(v.name) for v in tvars]
-    total = _expand(aux.one(), range(n), range(n),
-                    lambda word, k, l, odd: word * lifted[k][l] * tpolys[l])
+    base_n, big_n, N, pair = ctx.nvars, aux.nvars, aux.conductor, aux._pair
+
+    def extend(word, k, l, odd):
+        col, out = base_n + l, {}
+        for mono, c in (word * lifted[k][l]).terms.items():
+            m = mono[:col] + (mono[col] + 1,) + mono[col + 1:]
+            if aux.mono_valid(m):
+                phase = sum(mono[a] * pair[a][col] for a in range(col + 1, big_n)) % N
+                out[m] = c * aux.root(phase) if phase else c
+        return GradedPoly(aux, out)
+
+    total = _expand(aux.one(), range(n), range(n), extend)
     # strip the t block: every surviving term carries each t exactly once
-    base_n = ctx.nvars
     out = {}
     for mono, c in total.terms.items():
         if any(e != 1 for e in mono[base_n:]):

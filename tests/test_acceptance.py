@@ -51,7 +51,7 @@ def test_criterion_1_factor_axioms():
     total = 0
     for label, fac in factories:
         g = fac.group
-        rng = random.Random(hash(label) & 0xFFFF)
+        rng = random.Random(f"test_criterion_1_factor_axioms/{label}")
         for _ in range(1000):
             i, j, k = (g.degree(*[rng.randint(-4, 4) for _ in range(g.ngens)])
                        for _ in range(3))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rhocalc.cyclo import Cyclo, cyclotomic_poly
+from rhocalc.cyclo import Cyclo, cyclotomic_poly, fraction_text, signed_sum
 from rhocalc.errors import NotInvertible
 
 
@@ -172,3 +172,201 @@ def test_field_arithmetic_matches_sympy():
             assert inv.n == b.n
             assert inv == Cyclo(b.n, [Fraction(int(c.p), int(c.q))
                                       for c in reversed(want.all_coeffs())])
+
+
+# -- byte oracle: the Fraction-tuple scalar class the integer core replaced --------
+
+
+def _fraction_reduce(coeffs, n):
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    coeffs = list(coeffs)
+    for i in range(len(coeffs) - 1, deg - 1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        coeffs[i] = Fraction(0)
+        for j in range(deg):
+            coeffs[i - deg + j] -= c * phi[j]
+    coeffs = coeffs[:deg] + [Fraction(0)] * (deg - len(coeffs))
+    return tuple(coeffs[:deg])
+
+
+class FractionCyclo:
+    """Q(zeta_n) in the power basis modulo Phi_n with Fraction coefficients."""
+
+    __slots__ = ("n", "coeffs")
+
+    def __init__(self, n, coeffs, *, reduce=True):
+        self.n = n
+        vals = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        self.coeffs = _fraction_reduce(vals, n) if reduce else tuple(vals)
+
+    @staticmethod
+    def rational(x):
+        return FractionCyclo(1, [Fraction(x)], reduce=False)
+
+    @staticmethod
+    def one():
+        return FractionCyclo.rational(1)
+
+    def lift(self, m):
+        if m == self.n:
+            return self
+        if m % self.n:
+            raise ValueError("lift target must be a conductor multiple")
+        step = m // self.n
+        out = [Fraction(0)] * (len(self.coeffs) * step + 1)
+        for k, c in enumerate(self.coeffs):
+            out[k * step] = c
+        return FractionCyclo(m, out)
+
+    @staticmethod
+    def _unify(a, b):
+        if a.n == b.n:
+            return a, b
+        m = math.lcm(a.n, b.n)
+        return a.lift(m), b.lift(m)
+
+    def is_zero(self):
+        return not any(self.coeffs)
+
+    def is_rational(self):
+        return not any(self.coeffs[1:])
+
+    def __add__(self, other):
+        a, b = FractionCyclo._unify(self, other)
+        return FractionCyclo(a.n, [x + y for x, y in zip(a.coeffs, b.coeffs)],
+                             reduce=False)
+
+    def __neg__(self):
+        return FractionCyclo(self.n, [-c for c in self.coeffs], reduce=False)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self.n == 1 or other.n == 1:  # scale; the lcm is the other's conductor
+            r, x = (self.coeffs[0], other) if self.n == 1 else (other.coeffs[0], self)
+            return x if r == 1 else FractionCyclo(x.n, [r * c for c in x.coeffs],
+                                                  reduce=False)
+        a, b = FractionCyclo._unify(self, other)
+        n = len(a.coeffs)
+        out = [Fraction(0)] * (2 * n - 1)
+        for i, ci in enumerate(a.coeffs):
+            for j, cj in enumerate(b.coeffs):
+                out[i + j] += ci * cj
+        return FractionCyclo(a.n, out)
+
+    def inverse(self):
+        if self.is_zero():
+            raise NotInvertible("zero has no inverse")
+        if self.is_rational():
+            return FractionCyclo(self.n, [1 / self.coeffs[0]]
+                                 + [Fraction(0)] * (len(self.coeffs) - 1), reduce=False)
+        rest = FractionCyclo.one()
+        for k in range(2, self.n):
+            if math.gcd(k, self.n) == 1:
+                conj = [Fraction(0)] * self.n
+                for j, c in enumerate(self.coeffs):
+                    conj[j * k % self.n] = c
+                rest = rest * FractionCyclo(self.n, conj)
+        return rest * FractionCyclo.rational(1 / (self * rest).coeffs[0])
+
+    def __pow__(self, k):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = FractionCyclo.one()
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __eq__(self, other):
+        a, b = FractionCyclo._unify(self, other)
+        return a.coeffs == b.coeffs
+
+    def text(self):
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            ac = abs(c)
+            if k == 0:
+                mag = fraction_text(ac)
+            else:
+                zk = f"zeta({self.n})" if k == 1 else f"zeta({self.n})^{k}"
+                mag = zk if ac == 1 else f"{fraction_text(ac)}*{zk}"
+            parts.append(("-" if c < 0 else "+", mag))
+        return signed_sum(parts)
+
+
+ORACLE_CONDUCTORS = (1, 2, 3, 4, 5, 8, 12, 24)
+
+
+def _oracle_pair(rng):
+    """The same value as (Cyclo, FractionCyclo): dense, a scaled root, a
+    rational stored at its conductor, or a rational at conductor 1."""
+    n = rng.choice(ORACLE_CONDUCTORS)
+    kind = rng.randrange(4)
+    r = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    if kind == 0:
+        coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                  for _ in range(len(cyclotomic_poly(n)) - 1)]
+    elif kind == 1:
+        coeffs = [0] * rng.randrange(n) + [r]
+    elif kind == 2:
+        coeffs = [r]
+    else:
+        n, coeffs = 1, [rng.choice((r, 1, 1, -1, 0))]
+    return Cyclo(n, coeffs), FractionCyclo(n, coeffs)
+
+
+def _assert_same(got, want, operands=()):
+    assert got.n == want.n
+    assert got.text() == want.text()
+    assert got.coeffs == want.coeffs
+    assert got.den > 0 and math.gcd(got.den, *got.num) == 1
+    assert got.den == 1 or any(got.num)
+    # an operation hands back an operand exactly when the old class did
+    for g, w in operands:
+        assert (got is g) == (want is w)
+
+
+def test_integer_core_matches_the_fraction_oracle_bytes():
+    rng = random.Random("test_integer_core_matches_the_fraction_oracle_bytes")
+    pool = [_oracle_pair(rng) for _ in range(16)]
+    for _ in range(1500):
+        (a, fa), (b, fb) = (pool[rng.randrange(len(pool))] if rng.random() < 0.6
+                            else _oracle_pair(rng) for _ in range(2))
+        op = rng.choice(("*", "+", "-", "neg", "inverse", "lift", "**", "=="))
+        if op == "==":
+            assert (a == b) == (fa == fb)
+            assert a == a.lift(a.n * rng.randint(1, 3))
+            continue
+        if op == "*":
+            got, want = a * b, fa * fb
+        elif op == "+":
+            got, want = a + b, fa + fb
+        elif op == "-":
+            got, want = a - b, fa - fb
+        elif op == "neg":
+            got, want = -a, -fa
+        elif op == "lift":
+            m = a.n * rng.randint(1, 3)
+            got, want = a.lift(m), fa.lift(m)
+        elif a.is_zero():
+            with pytest.raises(NotInvertible):
+                a.inverse()
+            continue
+        elif op == "inverse":
+            got, want = a.inverse(), fa.inverse()
+        else:
+            k = rng.randint(-2, 3)
+            got, want = a ** k, fa ** k
+        _assert_same(got, want, ((a, fa), (b, fb)))
+        if got.n <= 24 and max(map(abs, got.num), default=0) < 10 ** 12:
+            pool[rng.randrange(len(pool))] = (got, want)

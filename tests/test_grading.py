@@ -111,7 +111,7 @@ FACTORIES = [
 def test_factor_axioms_fuzz(label, factory, ngens):
     fac = factory()
     g = fac.group
-    rng = random.Random(hash(label) & 0xFFFF)
+    rng = random.Random(f"test_factor_axioms_fuzz/{label}")
 
     def rand_degree():
         return g.degree(*[rng.randint(-3, 3) for _ in range(g.ngens)])
