@@ -3,11 +3,12 @@
 A derivation is determined by its values on the generators (termwise action
 on the coefficient-times-monomial decomposition), so it is stored as a finite
 component map together with its degree.  Application implements the twisted
-Leibniz rule exactly as one term kernel: each term of the block X(x_a^e)
-goes between the monomial's prefix and suffix by two `mono_mul` calls into
-one dict, with integer phases, making the scalar products of prefix * block
-* suffix (one root per reordering), so no conductor moves.  The commutator
-of two derivations is again a derivation, computed on generators.
+Leibniz rule exactly as one term kernel: each term of the block X(x_a^e),
+built once per (a, e) and kept on the derivation, goes between the
+monomial's prefix and suffix by two `mono_mul` calls into one dict, with
+integer phases, making the scalar products of prefix * block * suffix (one
+root per reordering), so no conductor moves.  The commutator of two
+derivations is again a derivation, computed on generators.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ class Derivation:
         self.components = comps
         # rho(|X|, |x_b|) = zeta_N^row[b]
         self._row = [ctx.factor.phase_k(degree, v.degree) for v in ctx.variables]
+        self._blocks: dict = {}     # (a, e) -> X(x_a^e), read-only once built
 
     def component(self, a: int) -> GradedPoly:
         return self.components.get(a, self.ctx.zero())
@@ -79,7 +81,10 @@ class Derivation:
                     c = coef * ctx.root(k) if k else coef
                     pre = mono[:a] + (0,) * (ctx.nvars - a)
                     suf = (0,) * (a + 1) + mono[a + 1:]
-                    for m, v in self._power_derivative(a, e, comp).items():
+                    block = self._blocks.get((a, e))
+                    if block is None:
+                        block = self._blocks[a, e] = self._power_derivative(a, e, comp)
+                    for m, v in block.items():
                         hit = self._sandwich(pre, m, v, suf)
                         if hit is not None:
                             add_term(out, hit[0], c * hit[1])

@@ -517,7 +517,8 @@ class Parser:
         v = self.name()
         bound = None
         if self.accept("bound"):
-            bound = self.integer()
+            bound = self.checked_integer(lambda v: v >= 0,
+                                         "a nonnegative degree bound")
         self.expect(";")
         return {"q": q, "vol": v, "bound": bound}
 

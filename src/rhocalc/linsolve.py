@@ -1,9 +1,10 @@
 """Exact linear algebra over the cyclotomic scalars, eliminating on sparse rows.
 
-`solve_linear` takes a dense system and runs Gauss-Jordan on sparse rows.
-Each row is a dict {column: entry} plus one conductor: the conductor of
-every entry the dict leaves out, all of which are zero.  The rhs is column
-n of the same dict.
+`solve_linear` takes a sparse system and runs Gauss-Jordan on it.  Each
+row is a dict {column: entry} that leaves out zeros of conductor 1; inside
+the solver a row also keeps one conductor: the conductor of every entry the
+dict leaves out, all of which are zero.  The rhs is column n of the same
+dict.
 
 Conductor rule.  A `Cyclo` prints in the conductor its arithmetic lifted to,
 so skipping an operation on a zero could change the text of a result even
@@ -24,19 +25,18 @@ import math
 from .cyclo import Cyclo
 
 
-def solve_linear(rows: list[list[Cyclo]], rhs: list[Cyclo]):
-    """One exact solution of A x = b, or None if the system is inconsistent.
+def solve_linear(rows: list[dict[int, Cyclo]], rhs: list[Cyclo], n: int):
+    """One exact solution of A x = b over n unknowns, or None if the system
+    is inconsistent.
 
     Gauss-Jordan over the field with first-nonzero pivoting, in column
     order; free variables are set to zero.  The pivot rule decides which
     solution is returned, so it is part of the output contract.
     """
     m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [{j: x for j, x in enumerate([*row, b]) if x.n != 1 or not x.is_zero()}
+    zero = Cyclo.zero()
+    a = [{**row, n: b} if b.n != 1 or not b.is_zero() else dict(row)
          for row, b in zip(rows, rhs)]
-    cells = [[(j, x) for j, x in d.items() if j < n and not x.is_zero()]
-             for d in a]
     cond = [1] * m
     where = [-1] * n
     r = 0
@@ -76,14 +76,14 @@ def solve_linear(rows: list[list[Cyclo]], rhs: list[Cyclo]):
     sol = []
     for i in where:
         if i < 0:
-            sol.append(Cyclo.zero())
+            sol.append(zero)
             continue
-        v = a[i].get(n, Cyclo.zero())
+        v = a[i].get(n, zero)
         sol.append(v.lift(math.lcm(v.n, cond[i])))
-    for row_cells, b in zip(cells, rhs):
-        acc = Cyclo.zero()
-        for j, x in row_cells:
-            if not sol[j].is_zero():
+    for row, b in zip(rows, rhs):
+        acc = zero
+        for j, x in row.items():
+            if not x.is_zero() and not sol[j].is_zero():
                 acc = acc + x * sol[j]
         if acc != b:
             return None

@@ -228,10 +228,14 @@ def _solve_over(ctx: Context, basis, c: GradedPoly, image):
     for img in images:
         eq_monos |= set(img.terms)
     eq_monos = sorted(eq_monos)
+    # sparse rows straight from the images, whose terms are all nonzero
+    rows = {mu: {} for mu in eq_monos}
+    for j, img in enumerate(images):
+        for mu, x in img.terms.items():
+            rows[mu][j] = x
     zero = Cyclo.zero()
-    rows = [[img.terms.get(mu, zero) for img in images] for mu in eq_monos]
     rhs = [c.terms.get(mu, zero) for mu in eq_monos]
-    sol = solve_linear(rows, rhs)
+    sol = solve_linear(list(rows.values()), rhs, len(basis))
     if sol is None:
         return None
     # the basis monomials are distinct and the constructor drops zeros

@@ -155,6 +155,35 @@ def test_kernel_matches_leibniz_oracle_bytes(rng):
                 assert_same_bytes(x.apply(f), leibniz_apply(x, f))
 
 
+def test_each_leibniz_block_is_built_once_per_derivation(rng, monkeypatch):
+    built = []
+    power_derivative = Derivation._power_derivative
+
+    def recording(self, a, e, comp):
+        built.append((a, e))
+        return power_derivative(self, a, e, comp)
+
+    monkeypatch.setattr(Derivation, "_power_derivative", recording)
+    chev, q = chevalley_context()
+    for ctx in (super_context(), torus_context(), torus8_context(), chev,
+                zline_context(None), zline_context(3)):
+        x = q if ctx is chev else random_derivation(ctx, rng, terms=3)
+        while x.is_zero():
+            x = random_derivation(ctx, rng, terms=3)
+        # products with one shared factor repeat its powers x_a^e
+        shared = random_poly(ctx, rng, terms=3, maxexp=2)
+        polys = [shared * random_poly(ctx, rng, terms=2, maxexp=1)
+                 for _ in range(4)] + [shared]
+        built.clear()
+        used = []
+        for f in polys:
+            assert_same_bytes(x.apply(f), leibniz_apply(x, f))
+            used += [(a, e) for mono in f.terms for a, e in enumerate(mono)
+                     if e and a in x.components]
+        assert sorted(built) == sorted(set(used))
+        assert len(used) > len(built) > 0
+
+
 def test_kernel_drops_a_cancelled_coefficient_before_it_restarts():
     # X(u1) leaves zeta_8 at u1*u2*v2; on the term u1*u2*v2 the u1 factor
     # cancels it, then the u2 factor restarts it as zeta_4 at conductor 4

@@ -310,6 +310,8 @@ _U = "group Z/2; factor super;\nchart U { base x; formal xi deg (1); }\n"
     (_U + "normalize zeta(-3) on U;", 2, "expected a positive zeta order",
      "line 3, col 16"),
     ("trunc -1;", 2, "expected a nonnegative truncation order", "line 1, col 7"),
+    (_U + "modular d_PT w bound -3;", 2, "expected a nonnegative degree bound",
+     "line 3, col 22"),
     # only ASCII digits make an integer, and one past int()'s digit limit
     # is reported at the literal
     (_U + "normalize x^² on U;", 2, "expected a token (found '²')",

@@ -1,8 +1,11 @@
-"""Sparse exact solver against the dense Gauss-Jordan it replaced.
+"""Sparse exact solver against the dense Gauss-Jordan it replaced, and
+against sympy's rref.
 
-The dense solver is kept here as the oracle.  A `Cyclo` prints in the
-conductor its arithmetic lifted to, so the sparse solver must return not
-only the same values but the same conductors, hence the same text.
+The dense solver is kept here as the conductor and text oracle.  A `Cyclo`
+prints in the conductor its arithmetic lifted to, so the sparse solver must
+return not only the same values but the same conductors, hence the same
+text.  On rational systems, sympy's reduced row echelon form gives the
+values independently of the solver's code and pivot rule.
 """
 
 import random
@@ -47,6 +50,15 @@ def dense_solve_linear(rows, rhs):
         if acc != rhs[i]:
             return None
     return sol
+
+
+def sparse_solve(rows, rhs):
+    """solve_linear on a dense system: each row keeps every entry but a
+    zero of conductor 1, as the dense-input solver kept them."""
+    n = len(rows[0]) if rows else 0
+    return solve_linear([{j: x for j, x in enumerate(row)
+                          if x.n != 1 or not x.is_zero()} for row in rows],
+                        rhs, n)
 
 
 def _entry(rng, density):
@@ -99,7 +111,7 @@ def test_sparse_matches_dense_text_and_conductor(consistent):
     for _ in range(150):
         rows, rhs = _system(rng, consistent)
         want = dense_solve_linear(rows, rhs)
-        got = solve_linear(rows, rhs)
+        got = sparse_solve(rows, rhs)
         assert _same(got, want), (rows, rhs, got, want)
         outcomes.add(want is None)
         lifted += sum(1 for w in want or () if w.n > 1)
@@ -109,7 +121,7 @@ def test_sparse_matches_dense_text_and_conductor(consistent):
 
 
 def test_empty_system():
-    assert solve_linear([], []) == []
+    assert sparse_solve([], []) == []
     assert dense_solve_linear([], []) == []
 
 
@@ -117,12 +129,12 @@ def test_free_variables_are_zero():
     one, two = Cyclo.one(), Cyclo.rational(2)
     z4 = Cyclo.root_of_unity(4)
     # x0 + x1 = 2: x1 is free
-    sol = solve_linear([[one, one]], [two])
+    sol = sparse_solve([[one, one]], [two])
     assert [s.text() for s in sol] == ["2", "0"]
     # the zero column is free, the pivot column carries zeta(4)'s conductor
     rows = [[Cyclo.zero(), z4, one], [Cyclo.zero(), Cyclo.zero(), Cyclo.zero()]]
     rhs = [two, Cyclo.zero()]
-    got, want = solve_linear(rows, rhs), dense_solve_linear(rows, rhs)
+    got, want = sparse_solve(rows, rhs), dense_solve_linear(rows, rhs)
     assert _same(got, want)
     assert got[0].is_zero() and got[2].is_zero()
     assert got[1] == two * z4.inverse() and got[1].n == 4
@@ -130,5 +142,88 @@ def test_free_variables_are_zero():
 
 def test_inconsistent_returns_none():
     one = Cyclo.one()
-    assert solve_linear([[one], [one]], [one, Cyclo.rational(2)]) is None
-    assert solve_linear([[Cyclo.zero()]], [one]) is None
+    assert sparse_solve([[one], [one]], [one, Cyclo.rational(2)]) is None
+    assert sparse_solve([[Cyclo.zero()]], [one]) is None
+
+
+def _rational_system(rng, m, n, band, consistent):
+    """A sparse rational system with entries within `band` of the diagonal.
+    With more than two rows the last row is the sum of the first two, and
+    its rhs follows from theirs only when the system is to be consistent."""
+    rows = [[Fraction(0)] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(max(0, i - band), min(n, i + band + 1)):
+            if rng.random() < 0.7:
+                rows[i][j] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+    rhs = [sum((a * b for a, b in zip(row, x)), Fraction(0)) for row in rows]
+    if m > 2:
+        rows[-1] = [a + b for a, b in zip(rows[0], rows[1])]
+        rhs[-1] = rhs[0] + rhs[1] + (0 if consistent else 1)
+    elif not consistent:
+        rhs = [Fraction(rng.randint(-5, 5)) for _ in range(m)]
+    return rows, rhs
+
+
+def rref_solution(sympy, rows, rhs):
+    """The solution with every free variable 0, read off sympy's rref of
+    the augmented matrix; None if the system is inconsistent."""
+    n = len(rows[0])
+    aug = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                         for x in [*row, b]] for row, b in zip(rows, rhs)])
+    red, pivots = aug.rref()
+    if n in pivots:
+        return None
+    sol = [Fraction(0)] * n
+    for i, col in enumerate(pivots):
+        sol[col] = Fraction(int(red[i, n].p), int(red[i, n].q))
+    return sol
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_solve_matches_sympy_rref(consistent):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"linsolve-rref/{consistent}")
+    shapes = [(rng.randint(1, 8), rng.randint(1, 8), rng.randint(0, 3))
+              for _ in range(60)] + [(120, 120, 2), (130, 110, 3)]
+    outcomes = set()
+    for m, n, band in shapes:
+        rows, rhs = _rational_system(rng, m, n, band, consistent)
+        want = rref_solution(sympy, rows, rhs)
+        got = solve_linear([{j: Cyclo.rational(x) for j, x in enumerate(row) if x}
+                            for row in rows],
+                           [Cyclo.rational(b) for b in rhs], n)
+        assert (got is None) == (want is None), (m, n, band)
+        if want is not None:
+            assert [g.as_fraction() for g in got] == want, (m, n, band)
+        outcomes.add(want is None)
+    assert outcomes == ({False} if consistent else {True, False})
+
+
+def test_bidiagonal_solve_does_sparse_work(monkeypatch):
+    # x_0 = b_0 and a_i x_i + c_i x_(i-1) = b_i, with 2n - 1 nonzeros
+    n = 500
+    rng = random.Random("linsolve-bidiagonal")
+    diag = [Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)]
+    sub = [Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3)) for _ in range(n)]
+    b = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+    rows = [{j: Cyclo.rational(v) for j, v in ((i - 1, sub[i]), (i, diag[i]))
+             if j >= 0} for i in range(n)]
+    rhs = [Cyclo.rational(v) for v in b]
+    calls = []
+    is_zero = Cyclo.is_zero
+
+    def counted(self):
+        calls.append(1)
+        return is_zero(self)
+
+    monkeypatch.setattr(Cyclo, "is_zero", counted)
+    sol = solve_linear(rows, rhs, n)
+    monkeypatch.undo()
+    want, prev = [], Fraction(0)
+    for i in range(n):
+        prev = (b[i] - (sub[i] * prev if i else 0)) / diag[i]
+        want.append(prev)
+    assert [x.as_fraction() for x in sol] == want
+    nnz = sum(map(len, rows))
+    assert len(calls) < 20 * nnz

@@ -1,6 +1,8 @@
 """Volume forms, divergence, exactness and modular classes."""
 
+import importlib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -232,13 +234,54 @@ def test_exactness_rejects_a_wrong_certificate(monkeypatch):
     c = q.apply(ctx.gen("z"))
     solve = volume.solve_linear
 
-    def off_by_one(rows, rhs):
-        sol = solve(rows, rhs)
+    def off_by_one(*args):
+        sol = solve(*args)
         return None if sol is None else [x + x for x in sol]
 
     monkeypatch.setattr(volume, "solve_linear", off_by_one)
     with pytest.raises(CertificateMismatch):
         exactness_solve(c, q, closure_cap=40)
+
+
+def test_exactness_hands_the_solver_sparse_nonzero_rows(monkeypatch):
+    ctx, q = _line_form_blowup()
+    c = q.apply(ctx.gen("z"))
+    solve = volume.solve_linear
+    seen = []
+
+    def recording(rows, rhs, n):
+        seen.append((rows, n))
+        return solve(rows, rhs, n)
+
+    monkeypatch.setattr(volume, "solve_linear", recording)
+    assert exactness_solve(c, q).verdict == "exact"
+    assert seen
+    for rows, n in seen:
+        assert all(type(row) is dict for row in rows)
+        assert all(0 <= j < n and not x.is_zero()
+                   for row in rows for j, x in row.items())
+        # about two nonzeros per row, where a dense row holds n cells
+        assert sum(map(len, rows)) < 3 * len(rows) < n * len(rows)
+
+
+def test_modular_class_digests_match_bench_references(monkeypatch):
+    # every modular_class task of the benchmark, line-form blow-ups included,
+    # against the output digests stored under bench/
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    rc = {m: importlib.import_module("rhocalc." + m)
+          for m in ("cyclo", "grading", "algebra", "derivation", "geometry",
+                    "volume", "scenarios")}
+    for seed in (1, 2):
+        refs = checks.load_references("modular_class", seed)
+        data = workloads.make_data("modular_class", seed, None)
+        objs = workloads.build(rc, "modular_class", data, None)
+        assert len(refs) == len(data)
+        for task, obj in zip(data, objs):
+            result = workloads.RUNNERS["modular_class"](rc, task, obj)
+            text = workloads.TEXTS["modular_class"](result)
+            assert checks.digest(text) == refs[task["id"]], (seed, task["id"])
 
 
 def test_exactness_requires_closed():
