@@ -125,6 +125,10 @@ class Context:
                                       f"{phase} is not a multiple of 1/{self.conductor}")
         return self.root(int(k) % self.conductor)
 
+    def rho(self, i: Degree, j: Degree) -> Cyclo:
+        """rho(i, j) = zeta_N^k straight from the factor's integer phase."""
+        return self.root(self.factor.phase_k(i, j))
+
     # -- monomial helpers ------------------------------------------------------
 
     def i_order(self, mono: tuple[int, ...]) -> int:
@@ -532,7 +536,7 @@ def rho_commutator(f: GradedPoly, g: GradedPoly) -> GradedPoly:
     if f.ctx != g.ctx:
         raise ContextMismatch("commutator operands")
     df, dg = f.degree_of(), g.degree_of()
-    rho = f.ctx.zeta(f.ctx.factor.phase(df, dg))
+    rho = f.ctx.rho(df, dg)
     return f * g - (g * f).scale(rho)
 
 

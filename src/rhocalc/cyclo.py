@@ -106,11 +106,11 @@ class Cyclo:
 
     __slots__ = ("n", "num", "den")
 
-    def __init__(self, n: int, coeffs, *, reduce: bool = True):
+    def __init__(self, n: int, coeffs):
         vals = [Fraction(c) for c in coeffs]
         den = math.lcm(*(v.denominator for v in vals))
         num = [v.numerator * (den // v.denominator) for v in vals]
-        x = _new(n, _reduce(num, n) if reduce else num, den)
+        x = _new(n, _reduce(num, n), den)
         self.n, self.num, self.den = n, x.num, x.den
 
     @property

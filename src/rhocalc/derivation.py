@@ -115,8 +115,7 @@ class Derivation:
         if kind == BASE:
             # degree-0 variable: commutes with everything, plain power rule,
             # valid for negative exponents of Laurent variables too
-            return {r[1]: c * e * ctx.root(r[0]) if r[0] else c * e
-                    for m, c in comp.terms.items()
+            return {r[1]: c * e for m, c in comp.terms.items()
                     if (r := ctx.mono_mul(power(e - 1), m)) is not None}
         block: dict = {}
         for j in range(e):  # sum_j rho(X, x_a)^j x_a^j X^a x_a^(e-1-j)
@@ -167,12 +166,19 @@ def partial(ctx: Context, name: str) -> Derivation:
                       f"d/d{name}")
 
 
+def gradients(ctx: Context, polys) -> list[list[GradedPoly]]:
+    """[[df/dx^a for each coordinate a of ctx] for f in polys], building
+    each coordinate partial once."""
+    parts = [partial(ctx, v.name) for v in ctx.variables]
+    return [[d.apply(f) for d in parts] for f in polys]
+
+
 def commutator(x: Derivation, y: Derivation) -> Derivation:
     """[X, Y](f) = X(Y f) - rho(|X|, |Y|) Y(X f), assembled on generators."""
     if x.ctx != y.ctx:
         raise ContextMismatch("commutator of derivations")
     ctx = x.ctx
-    rho = ctx.zeta(ctx.factor.phase(x.degree, y.degree))
+    rho = ctx.rho(x.degree, y.degree)
     comps = {}
     for a in range(ctx.nvars):
         val = x.apply(y.component(a)) - y.apply(x.component(a)).scale(rho)
@@ -203,8 +209,7 @@ def is_homological(q: Derivation) -> HomologyCheck:
     a square-zero derivation of even parity (e.g. the zero derivation on a
     group with no odd degrees) is flagged rather than silently accepted.
     """
-    fac = q.ctx.factor
-    if fac.phase(q.degree, q.degree) != Fraction(1, 2):
+    if q.ctx.factor.parity(q.degree) != ODD:
         return HomologyCheck(False, reason="parity")
     for a in range(q.ctx.nvars):
         res = q.apply(q.component(a))
@@ -300,10 +305,9 @@ def infinitesimal_deformation(f: GradedPoly, x: Derivation,
         v = ctx.variables[a]
         images[a] = ext.gen(v.name) + eps * lift_poly(comp, ext)
     lhs = substitute(f, images, ext)
+    grad = gradients(ctx, [f])[0]
     acc = ext.zero()
     for a, comp in x.components.items():
-        v = ctx.variables[a]
-        df = partial(ctx, v.name).apply(f)
-        acc = acc + lift_poly(comp, ext) * lift_poly(df, ext)
+        acc = acc + lift_poly(comp, ext) * lift_poly(grad[a], ext)
     rhs = lift_poly(f, ext) + eps * acc
     return lhs, rhs, ext

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 from .algebra import (BASE, Context, GradedPoly, Var, lift_poly, prime_context,
                       substitute)
-from .derivation import Derivation, commutator, is_homological, partial
+from .derivation import Derivation, commutator, gradients, is_homological
 from .errors import (ContextMismatch, GradingViolation, NotHomological,
-                     ShapeMismatch)
+                     OverlapMismatch, ShapeMismatch)
 from .grading import ODD, CommutationFactor, Degree
 from .matrix import GradedMatrix, rho_ber
 
@@ -89,14 +89,9 @@ def compose(second: TransitionMap, first: TransitionMap) -> TransitionMap:
 def jacobian(t: TransitionMap) -> GradedMatrix:
     """Matrix of coordinate partials of the images, rows = target coords."""
     src = t.source.ctx
-    rows = t.target.degree_tuple
-    cols = t.source.degree_tuple
-    parts = [partial(src, v.name) for v in src.variables]
-    ents = []
-    for a in range(len(rows)):
-        img = t.images[a]
-        ents.append([parts[b].apply(img) for b in range(len(cols))])
-    return GradedMatrix(src, rows, cols, src.factor.group.zero(), ents)
+    ents = gradients(src, [t.images[a] for a in range(len(t.images))])
+    return GradedMatrix(src, t.target.degree_tuple, t.source.degree_tuple,
+                        src.factor.group.zero(), ents)
 
 
 def jacobian_berezinian(t: TransitionMap) -> GradedPoly:
@@ -129,15 +124,14 @@ def chain_rule_check(t: TransitionMap, extra_polys=()) -> dict:
     jac = jacobian(t)
     samples = [tgt.gen(v.name) for v in tgt.variables]
     samples.extend(extra_polys)
+    lhs_rows = gradients(src, [t.pullback(f) for f in samples])
     failures = []
-    for f in samples:
-        pf = t.pullback(f)
-        for b, vb in enumerate(src.variables):
-            lhs = partial(src, vb.name).apply(pf)
+    for f, lhs_row, grad in zip(samples, lhs_rows, gradients(tgt, samples)):
+        pulled = [t.pullback(dfa) for dfa in grad]
+        for b, (vb, lhs) in enumerate(zip(src.variables, lhs_row)):
             rhs = src.zero()
-            for a, va in enumerate(tgt.variables):
-                dfa = partial(tgt, va.name).apply(f)
-                rhs = rhs + jac.entry(a, b) * t.pullback(dfa)
+            for a, pa in enumerate(pulled):
+                rhs = rhs + jac.entry(a, b) * pa
             if lhs != rhs:
                 failures.append({"poly": f.text(), "coordinate": vb.name,
                                  "lhs": lhs.text(), "rhs": rhs.text()})
@@ -164,6 +158,8 @@ class Atlas:
     def map(self, a: str, b: str) -> TransitionMap:
         if a == b:
             return identity_transition(self.charts[a])
+        if (a, b) not in self.maps:
+            raise OverlapMismatch(f"no transition from {a} to {b}")
         return self.maps[(a, b)]
 
     def pairs(self):
@@ -221,12 +217,11 @@ def pullback_matrix(m: GradedMatrix, t: TransitionMap) -> GradedMatrix:
 def frame_to_coordinate_matrix(jac: GradedMatrix) -> GradedMatrix:
     """Rewrite the dual-frame rule xi_new^a = sum_b xi^b J_ab (coefficient on
     the right) into left-coefficient form by exact reordering."""
-    fac = jac.ctx.factor
     ents = []
     for a, ia in enumerate(jac.rows):
         row = []
         for b, ib in enumerate(jac.cols):
-            w = jac.ctx.zeta(fac.phase(ib, ia - ib))
+            w = jac.ctx.rho(ib, ia - ib)
             row.append(jac.entries[a][b].scale(w))
         ents.append(row)
     return GradedMatrix(jac.ctx, jac.rows, jac.cols, jac.degree, ents,
@@ -307,6 +302,21 @@ class DeRhamChart:
     def lift(self, f: GradedPoly) -> GradedPoly:
         return lift_poly(f, self.chart.ctx)
 
+    def exterior(self, polys) -> list[GradedPoly]:
+        """d f = sum_b dx^b lift(df/dx^b) for each base polynomial f, zero
+        partials skipped."""
+        big = self.chart.ctx
+        dxs = [big.gen(big.variables[self.dvar[b]].name)
+               for b in range(self.base.ctx.nvars)]
+        out = []
+        for grad in gradients(self.base.ctx, polys):
+            acc = big.zero()
+            for dx, part in zip(dxs, grad):
+                if not part.is_zero():
+                    acc = acc + dx * self.lift(part)
+            out.append(acc)
+        return out
+
 
 def de_rham(base: Chart, prefix: str = "d") -> DeRhamChart:
     """Doubled chart with odd/even dx's over the Z x G factor, and d."""
@@ -332,19 +342,11 @@ def de_rham_transition(src: DeRhamChart, tgt: DeRhamChart,
     base coordinates substitute as before and dy^a = sum_b dx^b (dy^a/dx^b)."""
     if t.source.ctx != src.base.ctx or t.target.ctx != tgt.base.ctx:
         raise ContextMismatch("transition does not match the de Rham charts")
-    big_s, big_t = src.chart.ctx, tgt.chart.ctx
-    n = src.base.ctx.nvars
-    jac = jacobian(t)
+    imgs = [t.images[a] for a in range(src.base.ctx.nvars)]
     images = {}
-    for a in range(n):
-        images[a] = lift_poly(t.images[a], big_s)
-        acc = big_s.zero()
-        for b in range(n):
-            entry = jac.entries[a][b]
-            if not entry.is_zero():
-                dxb = big_s.gen(big_s.variables[src.dvar[b]].name)
-                acc = acc + dxb * lift_poly(entry, big_s)
-        images[tgt.dvar[a]] = acc
+    for a, (img, dimg) in enumerate(zip(imgs, src.exterior(imgs))):
+        images[a] = src.lift(img)
+        images[tgt.dvar[a]] = dimg
     return TransitionMap(src.chart, tgt.chart, images)
 
 
@@ -353,22 +355,12 @@ def lie_derivative(dr: DeRhamChart, x: Derivation) -> Derivation:
     base = dr.base.ctx
     if x.ctx != base:
         raise ContextMismatch("vector field must live on the base chart")
-    big = dr.chart.ctx
-    fac = base.factor
-    comps: dict[int, GradedPoly] = {}
-    for a, comp in x.components.items():
-        comps[a] = dr.lift(comp)
-    for b in range(base.nvars):
-        acc = big.zero()
-        xb = x.component(b)
-        if not xb.is_zero():
-            for a in range(base.nvars):
-                da = partial(base, base.variables[a].name).apply(xb)
-                if not da.is_zero():
-                    acc = acc + big.gen(big.variables[dr.dvar[a]].name) * dr.lift(da)
-        if not acc.is_zero():
-            comps[dr.dvar[b]] = acc
-    return Derivation(big, fac.prime_degree(0, x.degree), comps, f"L_{x.name}")
+    comps = {a: dr.lift(comp) for a, comp in x.components.items()}
+    nonzero = sorted(x.components)
+    dcomps = dr.exterior([x.components[b] for b in nonzero])
+    comps.update((dr.dvar[b], dc) for b, dc in zip(nonzero, dcomps))
+    return Derivation(dr.chart.ctx, base.factor.prime_degree(0, x.degree),
+                      comps, f"L_{x.name}")
 
 
 def interior_product(dr: DeRhamChart, x: Derivation) -> Derivation:
@@ -485,22 +477,15 @@ def schouten(sc: ShiftedCotangent, f: GradedPoly, g: GradedPoly) -> GradedPoly:
         raise ContextMismatch("schouten arguments")
     df = f.degree_of()
     g.degree_of()
-    fac = ctx.factor
     i = sc.shift
+    fd, gd = gradients(ctx, [f, g])
     out = ctx.zero()
     for a, sa in sc.star.items():
-        va = sc.base.ctx.variables[a]
-        da = va.degree
-        fstar = partial(ctx, ctx.variables[sa].name).apply(f)
-        gx = partial(ctx, va.name).apply(g)
-        if not fstar.is_zero() and not gx.is_zero():
-            w1 = ctx.zeta(fac.phase(df + da + i, da + i))
-            out = out + (fstar * gx).scale(w1)
-        fx = partial(ctx, va.name).apply(f)
-        gstar = partial(ctx, ctx.variables[sa].name).apply(g)
-        if not fx.is_zero() and not gstar.is_zero():
-            w2 = ctx.zeta(fac.phase(da, df + i))
-            out = out - (fx * gstar).scale(w2)
+        da = sc.base.ctx.variables[a].degree
+        if not fd[sa].is_zero() and not gd[a].is_zero():
+            out = out + (fd[sa] * gd[a]).scale(ctx.rho(df + da + i, da + i))
+        if not fd[a].is_zero() and not gd[sa].is_zero():
+            out = out - (fd[a] * gd[sa]).scale(ctx.rho(da, df + i))
     return out
 
 

@@ -142,10 +142,9 @@ class GradedMatrix:
 def left_act(g: GradedPoly, f: GradedMatrix) -> GradedMatrix:
     """(g F)_{kl} = rho(i_k, |g|) g f_{kl}."""
     dg = g.degree_of()
-    fac = f.ctx.factor
     ents = []
     for k, i in enumerate(f.rows):
-        w = f.ctx.zeta(fac.phase(i, dg))
+        w = f.ctx.rho(i, dg)
         ents.append([(g * e).scale(w) for e in f.entries[k]])
     return GradedMatrix(f.ctx, f.rows, f.cols, f.degree + dg, ents)
 
@@ -153,8 +152,7 @@ def left_act(g: GradedPoly, f: GradedMatrix) -> GradedMatrix:
 def right_act(f: GradedMatrix, g: GradedPoly) -> GradedMatrix:
     """(F g)_{kl} = rho(j_l, |g|) f_{kl} g."""
     dg = g.degree_of()
-    fac = f.ctx.factor
-    weights = [f.ctx.zeta(fac.phase(j, dg)) for j in f.cols]
+    weights = [f.ctx.rho(j, dg) for j in f.cols]
     ents = [[(e * g).scale(weights[l]) for l, e in enumerate(row)]
             for row in f.entries]
     return GradedMatrix(f.ctx, f.rows, f.cols, f.degree + dg, ents)
@@ -162,12 +160,11 @@ def right_act(f: GradedMatrix, g: GradedPoly) -> GradedMatrix:
 
 def transpose(f: GradedMatrix) -> GradedMatrix:
     """Twisted transpose, landing in rows -cols, cols -rows."""
-    fac = f.ctx.factor
     ents = []
     for l, j in enumerate(f.cols):
         row = []
         for k, i in enumerate(f.rows):
-            w = f.ctx.zeta(fac.phase(i, j - i))
+            w = f.ctx.rho(i, j - i)
             row.append(f.entries[k][l].scale(w))
         ents.append(row)
     return GradedMatrix(f.ctx, tuple(-j for j in f.cols),
@@ -176,7 +173,7 @@ def transpose(f: GradedMatrix) -> GradedMatrix:
 
 def matrix_commutator(f: GradedMatrix, g: GradedMatrix) -> GradedMatrix:
     """F G - rho(|F|, |G|) G F in the square matrix algebra."""
-    w = f.ctx.zeta(f.ctx.factor.phase(f.degree, g.degree))
+    w = f.ctx.rho(f.degree, g.degree)
     prod2 = g @ f
     twisted = GradedMatrix(prod2.ctx, prod2.rows, prod2.cols, prod2.degree,
                            prod2.map_entries(lambda e: e.scale(-w)), check=False)
@@ -187,10 +184,9 @@ def rho_tr(f: GradedMatrix) -> GradedPoly:
     """Weighted trace sum rho(i_k + |F|, i_k) f_kk."""
     if f.nrows != f.ncols:
         raise ShapeMismatch("trace of a non-square matrix")
-    fac = f.ctx.factor
     acc = f.ctx.zero()
     for k, i in enumerate(f.rows):
-        acc = acc + f.entries[k][k].scale(f.ctx.zeta(fac.phase(i + f.degree, i)))
+        acc = acc + f.entries[k][k].scale(f.ctx.rho(i + f.degree, i))
     return acc
 
 

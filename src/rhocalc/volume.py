@@ -74,11 +74,10 @@ def _weighted_partials(x: Derivation, s: GradedPoly,
     """sum_a rho(|x^a|, |x^a| + |X|) d/dx^a (X^a s), each term times s_inv
     when one is given."""
     ctx = x.ctx
-    fac = ctx.factor
     acc = ctx.zero()
     for a, comp in x.components.items():
         v = ctx.variables[a]
-        w = ctx.zeta(fac.phase(v.degree, v.degree + x.degree))
+        w = ctx.rho(v.degree, v.degree + x.degree)
         term = partial(ctx, v.name).apply(comp * s)
         if s_inv is not None:
             term = s_inv * term

@@ -1,5 +1,6 @@
 """Session language: parsing, execution, round trips, determinism, the CLI."""
 
+import importlib
 import json
 import os
 import random
@@ -262,6 +263,24 @@ def test_cli_exit_codes(tmp_path):
     assert "syntax error" in out2.stderr
 
 
+def test_one_way_cotangent_bundle_is_a_failed_declaration(tmp_path):
+    # the cotangent bundle needs both directions of an overlap; with only
+    # T : U -> V the missing V -> U used to escape as a KeyError traceback
+    session = tmp_path / "oneway.rc"
+    session.write_text("group Z/2; factor super;\n"
+                       "chart U { base x; formal xi deg (1); }\n"
+                       "chart V { base y; formal vxi deg (1); }\n"
+                       "transition T : U -> V { y = x + 2 * x; vxi = xi; }\n"
+                       "bundle CB = cotangent(U, V);\n", encoding="utf-8")
+    out = _run_cli(["run", str(session), "--json"], cwd=tmp_path)
+    assert out.returncode == 1, out.stderr
+    assert "Traceback" not in out.stdout + out.stderr
+    last = json.loads(out.stdout)["reports"][-1]
+    assert not last["ok"]
+    assert last["result"]["error"] == "OverlapMismatch"
+    assert "V to U" in last["result"]["message"]
+
+
 def test_trunc_statement_and_env(tmp_path):
     session = tmp_path / "t.rc"
     session.write_text("group Z/2; factor super; trunc 3;\n"
@@ -441,3 +460,23 @@ def test_cli_rejects_a_bad_truncation(tmp_path, args, env, message):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr == f"rhocalc: {message}\n"
+
+
+def test_dsl_session_digests_match_bench_references(tmp_path, monkeypatch):
+    # every dsl_session task of the benchmark, run through cli.main, against
+    # the output digests stored under bench/
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "bench"))
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    rc = {"cli": cli}
+    for seed in (1, 2):
+        refs = checks.load_references("dsl_session", seed)
+        data = workloads.make_data("dsl_session", seed, str(root))
+        paths = workloads.build(rc, "dsl_session", data,
+                                str(tmp_path / f"seed{seed}"))
+        assert len(refs) == len(data)
+        for task, path in zip(data, paths):
+            result = workloads.RUNNERS["dsl_session"](rc, task, path)
+            text = workloads.TEXTS["dsl_session"](result)
+            assert checks.digest(text) == refs[task["id"]], (seed, task["id"])

@@ -5,21 +5,23 @@ from fractions import Fraction
 
 import pytest
 
-from rhocalc.algebra import lift_poly
+from rhocalc.algebra import Context, Var, lift_poly
 from rhocalc.derivation import Derivation, is_homological, partial
 from rhocalc.errors import (GradingViolation, NotHomogeneous, NotHomological,
                             ShapeMismatch)
-from rhocalc.geometry import (Atlas, TransitionMap, cartan_report,
+from rhocalc.geometry import (Atlas, Chart, TransitionMap, cartan_report,
                               chain_rule_check, cocycle_check, compose,
-                              cotangent_bundle, de_rham, identity_transition,
-                              interior_product, jacobian, lie_derivative,
-                              lift_to_shifted_cotangent, make_chart,
-                              q_structure_report, schouten, shift_degree,
-                              shift_pi, shifted_cotangent, tangent_bundle)
-from rhocalc.grading import GroupSpec, super_factor, trivial_factor
+                              cotangent_bundle, de_rham, de_rham_transition,
+                              identity_transition, interior_product, jacobian,
+                              lie_derivative, lift_to_shifted_cotangent,
+                              make_chart, q_structure_report, schouten,
+                              shift_degree, shift_pi, shifted_cotangent,
+                              tangent_bundle)
+from rhocalc.grading import GroupSpec, super_factor, torus_factor, trivial_factor
 from rhocalc.matrix import GradedMatrix
 
-from conftest import random_homogeneous, random_poly, random_derivation
+from conftest import (random_derivation, random_homogeneous, random_poly,
+                      super_context)
 
 
 def super_chart(name="U"):
@@ -417,3 +419,145 @@ def test_lift_non_homological_rejected():
                       bctx.index("x"): bctx.gen("eta")}, "bad")
     with pytest.raises(NotHomological):
         lift_to_shifted_cotangent(bad, bctx.factor.group.zero(), base)
+
+
+# -- first partials: one set per call ----------------------------------------------
+
+
+def super_transition4():
+    """A 4-coordinate super transition with a nonlinear, odd-mixing image."""
+    fac = super_factor()
+    g = fac.group
+    coords = [("x", g.zero(), False), ("z", g.zero(), True),
+              ("xi", g.degree(1)), ("eta", g.degree(1))]
+    u, v = make_chart("U", fac, coords), make_chart("V", fac, coords)
+    x, z, xi, eta = (u.ctx.gen(n) for n in ("x", "z", "xi", "eta"))
+    return TransitionMap(u, v, {0: x + xi * eta * z, 1: z.scale(2) + x * z,
+                                2: xi + x * eta, 3: eta * z})
+
+
+def count_builds(monkeypatch):
+    """Record every Derivation built, whatever module binds `partial`."""
+    built = []
+    init = Derivation.__init__
+
+    def counting(self, ctx, degree, components, name="X"):
+        built.append(name)
+        init(self, ctx, degree, components, name)
+
+    monkeypatch.setattr(Derivation, "__init__", counting)
+    return built
+
+
+def test_chain_rule_builds_each_partial_set_once(monkeypatch):
+    t = super_transition4()
+    n = t.source.ctx.nvars
+    built = count_builds(monkeypatch)
+    assert chain_rule_check(t)["ok"]
+    # the Jacobian, the pulled-back samples and the samples: n partials each
+    assert len(built) <= 3 * n, built
+
+
+def test_lie_derivative_builds_partials_once(monkeypatch):
+    t = super_transition4()
+    base = t.source
+    ctx = base.ctx
+    dr = de_rham(base)
+    x = Derivation(ctx, ctx.factor.group.degree(1),
+                   {0: ctx.gen("x") * ctx.gen("xi"), 2: ctx.gen("z")}, "X")
+    built = count_builds(monkeypatch)
+    lie_derivative(dr, x)
+    # n partials plus L_X itself, however many components X has
+    assert len(built) <= ctx.nvars + 1, built
+
+
+def test_schouten_builds_partials_once(monkeypatch):
+    base = super_transition4().source
+    g = base.ctx.factor.group
+    sc = shifted_cotangent(base, g.degree(1))
+    ctx = sc.chart.ctx
+    f = ctx.gen("x_st") * ctx.gen("xi") + ctx.gen("z_st") * ctx.gen("eta")
+    h = ctx.gen("x") * ctx.gen("xi_st") * ctx.gen("z")
+    built = count_builds(monkeypatch)
+    schouten(sc, f, h)
+    assert len(built) <= ctx.nvars, built
+
+
+def _loop_de_rham_images(src, tgt, t):
+    """The lifted images as written out before `DeRhamChart.exterior`,
+    kept as the byte oracle: dy^a = sum_b dx^b (dy^a/dx^b)."""
+    base, big = src.base.ctx, src.chart.ctx
+    images = {}
+    for a in range(base.nvars):
+        images[a] = lift_poly(t.images[a], big)
+        acc = big.zero()
+        for b, vb in enumerate(base.variables):
+            entry = partial(base, vb.name).apply(t.images[a])
+            if not entry.is_zero():
+                dxb = big.gen(big.variables[src.dvar[b]].name)
+                acc = acc + dxb * lift_poly(entry, big)
+        images[tgt.dvar[a]] = acc
+    return images
+
+
+def _loop_lie_components(dr, x):
+    """L_X's components as written out before `DeRhamChart.exterior`,
+    kept as the byte oracle."""
+    base, big = dr.base.ctx, dr.chart.ctx
+    comps = {a: dr.lift(comp) for a, comp in x.components.items()}
+    for b in range(base.nvars):
+        acc = big.zero()
+        xb = x.component(b)
+        if not xb.is_zero():
+            for a in range(base.nvars):
+                da = partial(base, base.variables[a].name).apply(xb)
+                if not da.is_zero():
+                    acc = acc + big.gen(big.variables[dr.dvar[a]].name) * dr.lift(da)
+        if not acc.is_zero():
+            comps[dr.dvar[b]] = acc
+    return comps
+
+
+def torus_dual_context(theta):
+    """u1, u2 with rho(u1, u2) = exp(2 pi i theta) and duals v1, v2, so that
+    every coordinate degree has nonlinear monomials."""
+    fac = torus_factor([[0, theta], [-theta, 0]])
+    g = fac.group
+    return Context(fac, [Var("u1", g.generator(0), "even"),
+                         Var("u2", g.generator(1), "even"),
+                         Var("v1", -g.generator(0), "even"),
+                         Var("v2", -g.generator(1), "even")], name="torus")
+
+
+def _same_bytes(got, want):
+    assert got.text() == want.text()
+    assert ({m: (c.n, c.coeffs) for m, c in got.terms.items()}
+            == {m: (c.n, c.coeffs) for m, c in want.terms.items()})
+
+
+@pytest.mark.parametrize("make_ctx", [
+    super_context, lambda: torus_dual_context(Fraction(1, 4)),
+    lambda: torus_dual_context(Fraction(1, 8))], ids=["super", "torus4", "torus8"])
+def test_exterior_matches_loop_oracles_bytes(make_ctx, rng):
+    ctx = make_ctx()
+    u, v = Chart("U", ctx), Chart("V", ctx)
+    dr_u, dr_v = de_rham(u), de_rham(v)
+    for _ in range(6):
+        # scalar multiples of zeta_N^k, so stored conductors are exercised
+        imgs = {a: ctx.gen(w.name)
+                + random_homogeneous(ctx, rng, w.degree, terms=3).scale(
+                    ctx.root(rng.randrange(ctx.conductor)))
+                for a, w in enumerate(ctx.variables)}
+        t = TransitionMap(u, v, imgs)
+        got = de_rham_transition(dr_u, dr_v, t).images
+        want = _loop_de_rham_images(dr_u, dr_v, t)
+        assert list(got) == list(want)
+        for k in want:
+            _same_bytes(got[k], want[k])
+        x = random_derivation(ctx, rng, terms=3).scale(
+            ctx.root(rng.randrange(ctx.conductor)))
+        lx = lie_derivative(dr_u, x)
+        want = _loop_lie_components(dr_u, x)
+        assert list(lx.components) == list(want)
+        for k in want:
+            _same_bytes(lx.components[k], want[k])
