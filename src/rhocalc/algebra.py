@@ -50,6 +50,8 @@ class Context:
 
     def __init__(self, factor: CommutationFactor, variables: Sequence[Var],
                  truncation: int | None = None, name: str = "ctx"):
+        if truncation is not None and truncation < 0:
+            raise ConstraintViolation("truncation", None, "must be nonnegative")
         self.factor = factor
         self.truncation = truncation
         self.name = name
@@ -78,6 +80,7 @@ class Context:
             seen[v.name] = len(vs) - 1
         self.variables: tuple[Var, ...] = tuple(vs)
         self._index = seen
+        self._formal = tuple(i for i, v in enumerate(vs) if v.kind != BASE)
         # pair phases as integers k for zeta_N^k, N the factor's conductor
         self._pair = [[factor.phase_k(vi.degree, vj.degree)
                        for vj in self.variables] for vi in self.variables]
@@ -132,7 +135,7 @@ class Context:
     # -- monomial helpers ------------------------------------------------------
 
     def i_order(self, mono: tuple[int, ...]) -> int:
-        return sum(e for e, v in zip(mono, self.variables) if v.kind != BASE)
+        return sum(mono[i] for i in self._formal)
 
     def mono_degree(self, mono: tuple[int, ...]) -> Degree:
         hit = self._degree_cache.get(mono)
@@ -144,7 +147,7 @@ class Context:
             if e:
                 for i, p in enumerate(v.degree.parts):
                     acc[i] += e * p
-        d = g.degree(*acc)
+        d = Degree(g, g._mod(tuple(acc)))
         self._degree_cache[mono] = d
         return d
 
@@ -203,14 +206,14 @@ class Context:
         return (0,) * self.nvars
 
     def zero(self) -> "GradedPoly":
-        return GradedPoly(self, {})
+        return GradedPoly._clean(self, {})
 
     def scalar(self, c) -> "GradedPoly":
         if not isinstance(c, Cyclo):
             c = Cyclo.rational(c)
         if c.is_zero():
             return self.zero()
-        return GradedPoly(self, {self.zero_mono(): c})
+        return GradedPoly._clean(self, {self.zero_mono(): c})
 
     def one(self) -> "GradedPoly":
         return self.scalar(1)
@@ -248,7 +251,8 @@ class Context:
                        t, name or self.name)
 
     def __eq__(self, other):
-        return (isinstance(other, Context)
+        return self is other or (
+                isinstance(other, Context)
                 and self.factor == other.factor
                 and self.variables == other.variables
                 and self.truncation == other.truncation)
@@ -310,20 +314,22 @@ def add_term(terms: dict, mono, c: Cyclo) -> None:
 
 
 class GradedPoly:
-    """A finite normal-ordered sum of monomials with Cyclo coefficients."""
+    """A finite normal-ordered sum of monomials with nonzero Cyclo coefficients."""
 
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: Context, terms: dict):
-        clean = {}
-        for mono, c in terms.items():
-            if c.is_zero():
-                continue
-            if ctx.truncation is not None and ctx.i_order(mono) > ctx.truncation:
-                continue
-            clean[mono] = c
+        t = ctx.truncation
         self.ctx = ctx
-        self.terms = clean
+        self.terms = {m: c for m, c in terms.items()
+                      if not c.is_zero() and (t is None or ctx.i_order(m) <= t)}
+
+    @classmethod
+    def _clean(cls, ctx: Context, terms: dict) -> "GradedPoly":
+        """Adopt terms already nonzero and valid in ctx, without a scan."""
+        p = object.__new__(cls)
+        p.ctx, p.terms = ctx, terms
+        return p
 
     # -- basic structure -------------------------------------------------------
 
@@ -385,15 +391,14 @@ class GradedPoly:
             other = self.ctx.scalar(other)
         self._need_same(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            out[m] = c if s is None else s + c
-        return GradedPoly(self.ctx, out)
+        for m, c in other.terms.items():   # each key once: no restarts
+            add_term(out, m, c)
+        return GradedPoly._clean(self.ctx, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GradedPoly(self.ctx, {m: -c for m, c in self.terms.items()})
+        return GradedPoly._clean(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
@@ -406,7 +411,9 @@ class GradedPoly:
     def scale(self, c) -> "GradedPoly":
         if not isinstance(c, Cyclo):
             c = Cyclo.rational(c)
-        return GradedPoly(self.ctx, {m: c * v for m, v in self.terms.items()})
+        if c.is_zero():
+            return self.ctx.zero()
+        return GradedPoly._clean(self.ctx, {m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
@@ -425,7 +432,8 @@ class GradedPoly:
                     c = c * ctx.root(phase)
                 s = out.get(mono)
                 out[mono] = c if s is None else s + c
-        return GradedPoly(ctx, out)
+        # drop zeros only now: a sum through zero keeps its conductor
+        return GradedPoly._clean(ctx, {m: c for m, c in out.items() if not c.is_zero()})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):

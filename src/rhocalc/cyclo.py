@@ -122,6 +122,8 @@ class Cyclo:
 
     @staticmethod
     def rational(x) -> "Cyclo":
+        if type(x) is int:
+            return _new(1, (x,), 1)
         q = Fraction(x)
         return _new(1, (q.numerator,), q.denominator)
 

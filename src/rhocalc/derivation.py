@@ -14,6 +14,7 @@ derivations is again a derivation, computed on generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .algebra import BASE, Context, GradedPoly, Var, add_term, lift_poly, substitute
@@ -43,9 +44,11 @@ class Derivation:
                     f"{name}({ctx.variables[a].name}) must have degree {want.text()}")
             comps[a] = p
         self.components = comps
-        # rho(|X|, |x_b|) = zeta_N^row[b]
-        self._row = [ctx.factor.phase_k(degree, v.degree) for v in ctx.variables]
         self._blocks: dict = {}     # (a, e) -> X(x_a^e), read-only once built
+
+    @cached_property
+    def _row(self) -> list[int]:    # rho(|X|, |x_b|) = zeta_N^row[b]
+        return [self.ctx.factor.phase_k(self.degree, v.degree) for v in self.ctx.variables]
 
     def component(self, a: int) -> GradedPoly:
         return self.components.get(a, self.ctx.zero())
@@ -89,7 +92,8 @@ class Derivation:
                         if hit is not None:
                             add_term(out, hit[0], c * hit[1])
                 k = (k + e * self._row[a]) % ctx.conductor
-        return GradedPoly(ctx, out)
+        # mono_mul kept only valid monomials and add_term dropped every zero
+        return GradedPoly._clean(ctx, out)
 
     def _sandwich(self, lo, m, c, hi):
         """lo * (c m) * hi as (monomial, coefficient), None if it vanishes;
@@ -162,8 +166,10 @@ class Derivation:
 def partial(ctx: Context, name: str) -> Derivation:
     """The coordinate derivative: unique derivation with d(x^b) = delta_ab."""
     a = ctx.index(name)
-    return Derivation(ctx, -ctx.variables[a].degree, {a: ctx.one()},
-                      f"d/d{name}")
+    d = Derivation(ctx, -ctx.variables[a].degree, {}, f"d/d{name}")
+    d.components[a] = ctx.one()     # degree 0 = |d/dx^a| + |x^a|
+    d._row = [-k % ctx.conductor for k in ctx._pair[a]]   # rho(-|x_a|, |x_b|)
+    return d
 
 
 def gradients(ctx: Context, polys) -> list[list[GradedPoly]]:

@@ -649,8 +649,10 @@ class Runner:
                 result = handler(st)
                 self.reports.append(Report(st["echo"], True, result,
                                            self._diag()))
-            except RhoError as e:
-                info = {"error": type(e).__name__, "message": str(e),
+            except Exception as e:  # a fault in the program also gets a report
+                known = isinstance(e, RhoError)
+                info = {"error": type(e).__name__ if known else "InternalError",
+                        "message": str(e) if known else f"{type(e).__name__}: {e}",
                         "line": st["line"], "col": st["col"]}
                 self.reports.append(Report(st["echo"], False, info, self._diag()))
                 self.failed = True

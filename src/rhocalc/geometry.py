@@ -54,6 +54,9 @@ class TransitionMap:
     source: Chart
     target: Chart
     images: dict[int, GradedPoly]
+    # set by the first jacobian(self); nothing changes the images after
+    _jacobian: GradedMatrix | None = field(default=None, init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
         tv = self.target.ctx.variables
@@ -87,11 +90,14 @@ def compose(second: TransitionMap, first: TransitionMap) -> TransitionMap:
 
 
 def jacobian(t: TransitionMap) -> GradedMatrix:
-    """Matrix of coordinate partials of the images, rows = target coords."""
-    src = t.source.ctx
-    ents = gradients(src, [t.images[a] for a in range(len(t.images))])
-    return GradedMatrix(src, t.target.degree_tuple, t.source.degree_tuple,
-                        src.factor.group.zero(), ents)
+    """Matrix of coordinate partials of the images, rows = target coords,
+    built once per map."""
+    if t._jacobian is None:
+        src = t.source.ctx
+        ents = gradients(src, [t.images[a] for a in range(len(t.images))])
+        t._jacobian = GradedMatrix(src, t.target.degree_tuple, t.source.degree_tuple,
+                                   src.factor.group.zero(), ents)
+    return t._jacobian
 
 
 def jacobian_berezinian(t: TransitionMap) -> GradedPoly:

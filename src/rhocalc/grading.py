@@ -9,6 +9,7 @@ values in roots of unity, so rho evaluates exactly in a cyclotomic field.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,9 +45,12 @@ class GroupSpec:
         if len(parts) != self.ngens:
             raise ConstraintViolation("degree_length", None,
                                       f"expected {self.ngens} components, got {len(parts)}")
+        return self._mod(parts)
+
+    def _mod(self, parts: tuple[int, ...]) -> tuple[int, ...]:
+        """Int parts of the right length with the torsion parts reduced."""
         r = self.free_rank
-        tors = tuple(parts[r + k] % n for k, n in enumerate(self.torsion_orders))
-        return parts[:r] + tors
+        return parts[:r] + tuple(p % n for p, n in zip(parts[r:], self.torsion_orders))
 
     def degree(self, *parts) -> "Degree":
         if len(parts) == 1 and isinstance(parts[0], (tuple, list)):
@@ -77,15 +81,19 @@ class Degree:
     parts: tuple[int, ...]
 
     def __add__(self, other: "Degree") -> "Degree":
-        if self.group != other.group:
-            raise ConstraintViolation("group_mismatch")
-        return self.group.degree(*(a + b for a, b in zip(self.parts, other.parts)))
+        return self._zip(operator.add, other)
 
     def __sub__(self, other: "Degree") -> "Degree":
-        return self + (-other)
+        return self._zip(operator.sub, other)
 
     def __neg__(self) -> "Degree":
-        return self.group.degree(*(-a for a in self.parts))
+        return Degree(self.group, self.group._mod(tuple(-a for a in self.parts)))
+
+    def _zip(self, op, other: "Degree") -> "Degree":
+        g = self.group
+        if g is not other.group and g != other.group:
+            raise ConstraintViolation("group_mismatch")
+        return Degree(g, g._mod(tuple(map(op, self.parts, other.parts))))
 
     def __mul__(self, k: int) -> "Degree":
         return self.group.degree(*(a * k for a in self.parts))
@@ -105,7 +113,7 @@ class Degree:
 class CommutationFactor:
     """A bicharacter G x G -> roots of unity given by a rational phase matrix."""
 
-    __slots__ = ("group", "phases", "conductor", "_k")
+    __slots__ = ("group", "phases", "conductor", "_k", "_prime")
 
     def __init__(self, group: GroupSpec, phases):
         rows = tuple(tuple(Fraction(x) for x in row) for row in phases)
@@ -133,6 +141,7 @@ class CommutationFactor:
                 den = math.lcm(den, x.denominator)
         self.conductor = den
         self._k = tuple(tuple(int(x * den) for x in row) for row in rows)
+        self._prime = None
 
     # -- evaluation ----------------------------------------------------------
 
@@ -156,19 +165,20 @@ class CommutationFactor:
 
     def extend_prime(self) -> "CommutationFactor":
         """The factor on Z x G with an extra sign-carrying free generator."""
-        g = GroupSpec(self.group.free_rank + 1, self.group.torsion_orders)
-        n = self.group.ngens
-        rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-        rows[0][0] = Fraction(1, 2)
-        for a in range(n):
-            for b in range(n):
-                rows[a + 1][b + 1] = self.phases[a][b]
-        return CommutationFactor(g, rows)
+        if self._prime is None:
+            g = GroupSpec(self.group.free_rank + 1, self.group.torsion_orders)
+            n = self.group.ngens
+            rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+            rows[0][0] = Fraction(1, 2)
+            for a in range(n):
+                for b in range(n):
+                    rows[a + 1][b + 1] = self.phases[a][b]
+            self._prime = CommutationFactor(g, rows)    # built once per factor
+        return self._prime
 
     def prime_degree(self, s: int, d: Degree) -> Degree:
         """Degree (s, d) of the extended group, for use with extend_prime()."""
-        g = GroupSpec(self.group.free_rank + 1, self.group.torsion_orders)
-        return g.degree(s, *d.parts)
+        return self.extend_prime().group.degree(s, *d.parts)
 
     def __eq__(self, other):
         return (isinstance(other, CommutationFactor)

@@ -1,5 +1,6 @@
 """Normal ordering, ring axioms, series operations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,9 @@ from rhocalc.errors import (ConstraintViolation, ContextMismatch, NegativePower,
                             UnsupportedConstantPart)
 from rhocalc.grading import super_factor, torus_factor
 
-from conftest import (random_homogeneous, random_poly, super_context,
-                      torus8_context, torus_context, zline_context)
+from conftest import (random_derivation, random_homogeneous, random_poly,
+                      super_context, torus8_context, torus_context,
+                      zline_context)
 
 
 def test_context_rejects_bad_variables():
@@ -340,3 +342,45 @@ def test_zeta_rejects_a_phase_outside_the_conductor():
     assert ctx.zeta(Fraction(5, 2)) == Cyclo.rational(-1)
     with pytest.raises(ConstraintViolation):
         ctx.zeta(Fraction(1, 8))
+
+
+def _trusted_results(ctx, rng):
+    """Results of every operation that adopts its terms without a re-scan,
+    with cancellations and truncation forced in."""
+    out = []
+    for _ in range(10):
+        f = random_poly(ctx, rng).scale(ctx.root(rng.randrange(ctx.conductor)))
+        g = random_poly(ctx, rng, terms=4)
+        x = random_derivation(ctx, rng)
+        out += [f + g, f - g, f - f, g + (-g), f * g, g * f, (f + g) * (f - g),
+                f.scale(Fraction(-2, 3)), f.scale(0), -f, 3 - f,
+                x.apply(f), x.apply(f * g), x.apply(g - g)]
+    return out
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(super_context, id="super"),
+    pytest.param(lambda: super_context(truncation=1), id="super-t1"),
+    pytest.param(torus_context, id="torus4"),
+    pytest.param(lambda: torus_context(truncation=2), id="torus4-t2"),
+    pytest.param(torus8_context, id="torus8"),
+    pytest.param(lambda: torus8_context().extend([], truncation=2), id="torus8-t2"),
+    pytest.param(zline_context, id="zline"),
+    pytest.param(lambda: zline_context(truncation=2), id="zline-t2"),
+])
+def test_trusted_results_are_clean(make):
+    # ring operations and Derivation.apply build their result without the
+    # validating constructor; it must find nothing to drop or change
+    ctx = make()
+    key = lambda p: {m: (c.n, c.num, c.den) for m, c in p.terms.items()}
+    for p in _trusted_results(ctx, random.Random(f"trusted/{ctx.name}")):
+        assert p.ctx is ctx
+        assert not any(c.is_zero() for c in p.terms.values())
+        assert all(ctx.mono_valid(m) for m in p.terms)
+        assert key(GradedPoly(ctx, dict(p.terms))) == key(p)
+
+
+def test_context_rejects_a_negative_truncation():
+    fac = super_factor()
+    with pytest.raises(ConstraintViolation):
+        Context(fac, [Var("xi", fac.group.degree(1), "odd")], truncation=-1)

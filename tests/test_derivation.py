@@ -436,3 +436,19 @@ def test_infinitesimal_taylor_fuzz(rng):
             x = random_derivation(ctx, rng)
             lhs, rhs, _ = infinitesimal_deformation(f, x)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(super_context, id="super"),
+    pytest.param(torus_context, id="torus4"),
+    pytest.param(torus8_context, id="torus8"),
+    pytest.param(lambda: chevalley_context()[0], id="chevalley"),
+])
+def test_partial_row_is_the_phase_k_row(make):
+    # partial() reads its row off the context's pair phases
+    ctx = make()
+    for v in ctx.variables:
+        d = partial(ctx, v.name)
+        want = [ctx.factor.phase_k(d.degree, w.degree) for w in ctx.variables]
+        assert d._row == want
+        assert Derivation(ctx, d.degree, {}, "Y")._row == want

@@ -480,3 +480,72 @@ def test_dsl_session_digests_match_bench_references(tmp_path, monkeypatch):
             result = workloads.RUNNERS["dsl_session"](rc, task, path)
             text = workloads.TEXTS["dsl_session"](result)
             assert checks.digest(text) == refs[task["id"]], (seed, task["id"])
+
+
+def test_demo_text_matches_golden(tmp_path):
+    # the text form of the demo, pinned byte for byte (--json is pinned by
+    # the bench digests above)
+    root = Path(__file__).resolve().parents[1]
+    out = _run_cli(["run", str(root / "sessions" / "demo.rc")], cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    golden = Path(__file__).parent / "golden" / "demo.txt"
+    assert out.stdout.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("handler, stops", [
+    pytest.param("exec_normalize", False, id="command"),
+    pytest.param("exec_derivation", True, id="declaration"),
+])
+def test_internal_error_is_a_failed_report(tmp_path, capsys, monkeypatch,
+                                           handler, stops):
+    def broken(self, st):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(Runner, handler, broken)
+    path = tmp_path / "s.rc"
+    path.write_text("group Z/2; factor super;\n"
+                    "chart U { base x; formal xi deg (1); formal eta deg (1); }\n"
+                    "derivation Q on U deg (1) { xi -> x; }\n"
+                    "normalize eta * xi on U;\nqcheck d on derham(U);\n",
+                    encoding="utf-8")
+    assert cli.main(["run", str(path), "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err and err == ""
+    reports = json.loads(out)["reports"]
+    bad = [r for r in reports if not r["ok"]]
+    assert len(bad) == 1
+    assert bad[0]["result"]["error"] == "InternalError"
+    assert bad[0]["result"]["message"] == "KeyError: 'lost'"
+    assert {"line", "col"} <= set(bad[0]["result"])
+    # a failed declaration ends the run; a failed command does not
+    assert (reports[-1] is bad[0]) == stops
+
+
+def test_session_builds_each_jacobian_once(monkeypatch):
+    # jacobian, its chain rule check and the tangent bundle share one matrix
+    geometry = rhocalc.geometry
+    calls = []
+    gradients = geometry.gradients
+
+    def counting(ctx, polys):
+        calls.append([id(p) for p in polys])
+        return gradients(ctx, polys)
+
+    monkeypatch.setattr(geometry, "gradients", counting)
+    text = """
+group Z/2; factor super;
+chart U { base x; formal xi deg (1); formal eta deg (1); }
+chart V { base y; formal vxi deg (1); formal veta deg (1); }
+transition T : U -> V { y = x + xi * eta; vxi = xi; veta = eta; }
+transition S : V -> U { x = y - vxi * veta; xi = vxi; eta = veta; }
+jacobian T;
+bundle TB = tangent(U, V);
+cocycle TB;
+jacobian T;
+"""
+    runner = Runner()
+    reports = runner.run(parse_session(text))
+    assert all(r.ok for r in reports), [r.result for r in reports if not r.ok]
+    t = runner.session.transitions["T"]
+    images = [id(t.images[a]) for a in range(len(t.images))]
+    assert calls.count(images) == 1

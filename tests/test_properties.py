@@ -2,10 +2,12 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rhocalc.algebra import GradedPoly
 from rhocalc.cyclo import Cyclo
+from rhocalc.errors import ConstraintViolation
 from rhocalc.grading import GroupSpec, super_factor, torus_factor, trivial_factor
 
 from conftest import all_monomials, super_context, torus_context
@@ -98,3 +100,35 @@ def test_homogeneous_decomposition_sums_back(f):
     for d in f.degrees():
         total = total + f.homogeneous_part(d)
     assert total == f
+
+
+_GROUPS = [GroupSpec(2), GroupSpec(0, (2,)), GroupSpec(1, (4, 3)), GroupSpec(2, (8,))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(range(len(_GROUPS))),
+       st.lists(st.integers(min_value=-20, max_value=20), min_size=6, max_size=6))
+def test_degree_arithmetic_matches_the_reduce_route(which, parts):
+    # +, - and negation add int tuples and reduce only torsion parts; the
+    # result is the degree GroupSpec.degree builds from the raw sums
+    g = _GROUPS[which]
+    n = g.ngens
+    a, b = g.degree(*parts[:n]), g.degree(*parts[3:3 + n])
+    for got, raw in ((a + b, map(int.__add__, a.parts, b.parts)),
+                     (a - b, map(int.__sub__, a.parts, b.parts)),
+                     (-a, (-x for x in a.parts))):
+        want = g.degree(*raw)
+        assert got == want and got.parts == want.parts
+        assert all(type(x) is int for x in got.parts)
+
+
+@pytest.mark.parametrize("g, h", [
+    pytest.param(GroupSpec(1), GroupSpec(0, (2,)), id="free-vs-torsion"),
+    pytest.param(GroupSpec(0, (2,)), GroupSpec(0, (4,)), id="torsion-orders"),
+    pytest.param(GroupSpec(2), GroupSpec(1, (3,)), id="same-length"),
+])
+def test_degree_group_mismatch_raises(g, h):
+    a, b = g.generator(0), h.generator(0)
+    for op in (lambda: a + b, lambda: a - b, lambda: b + a, lambda: b - a):
+        with pytest.raises(ConstraintViolation):
+            op()
