@@ -234,6 +234,20 @@ class Context:
             return self.zero()
         return GradedPoly(self, {mono: coef})
 
+    def sum(self, polys: Iterable["GradedPoly"]) -> "GradedPoly":
+        """The left fold of `+`: every term goes through `add_term` in order,
+        so a cancelled coefficient restarts at the next summand's conductor."""
+        out: dict = {}
+        for p in polys:
+            if p.ctx != self:
+                raise ContextMismatch(f"{self!r} vs {p.ctx!r}")
+            if out:
+                for m, c in p.terms.items():
+                    add_term(out, m, c)
+            else:
+                out.update(p.terms)
+        return GradedPoly._clean(self, out)
+
     def word(self, coef, letters: Iterable[tuple[str, int]]) -> "GradedPoly":
         """Normal-order an arbitrary word of (variable, power) letters."""
         out = self.scalar(coef)
@@ -389,11 +403,7 @@ class GradedPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Cyclo)):
             other = self.ctx.scalar(other)
-        self._need_same(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():   # each key once: no restarts
-            add_term(out, m, c)
-        return GradedPoly._clean(self.ctx, out)
+        return self.ctx.sum((self, other))
 
     __radd__ = __add__
 
@@ -478,6 +488,7 @@ class GradedPoly:
                     raise TruncationRequired(
                         "series does not terminate; set a truncation order")
         bound = self.ctx.series_bound()
+        # not a Context.sum: each summand is built from the previous power
         p = self
         k = 1
         while not p.is_zero() and k <= bound:
@@ -557,23 +568,23 @@ def substitute(f: GradedPoly, images: dict[int, GradedPoly],
     for the result to be well defined; monomial factors are multiplied in
     normal-order position, so the engine inserts all rho factors.
     """
-    out = out_ctx.zero()
-    for mono, c in f.terms.items():
-        acc = out_ctx.scalar(c)
-        for a, e in enumerate(mono):
-            if e == 0:
-                continue
-            img = images.get(a)
-            if img is None:
-                v = out_ctx.variables[a]
-                acc = acc * out_ctx.monomial(1, {v.name: e})
-                continue
-            if e < 0:
-                img = img.invert()
-                e = -e
-            acc = acc * img ** e
-        out = out + acc
-    return out
+    def images_of_terms():
+        for mono, c in f.terms.items():
+            acc = out_ctx.scalar(c)
+            for a, e in enumerate(mono):
+                if e == 0:
+                    continue
+                img = images.get(a)
+                if img is None:
+                    v = out_ctx.variables[a]
+                    acc = acc * out_ctx.monomial(1, {v.name: e})
+                    continue
+                if e < 0:
+                    img = img.invert()
+                    e = -e
+                acc = acc * img ** e
+            yield acc
+    return out_ctx.sum(images_of_terms())
 
 
 def poly_text(f: GradedPoly) -> str:

@@ -53,11 +53,16 @@ def main(argv=None) -> int:
     try:
         with open(args.session, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"rhocalc: cannot read {args.session}: {e}", file=sys.stderr)
         return 2
     try:
         reports, ok = run_session(text, trunc)
+        if args.as_json:
+            doc = {"schema": 1, "reports": [r.payload() for r in reports]}
+            out = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+        else:
+            out = _human(reports)
     except DslSyntaxError as e:
         print(f"rhocalc: syntax error: {e}", file=sys.stderr)
         return 2
@@ -66,12 +71,11 @@ def main(argv=None) -> int:
         # errors), e.g. by a literal the model rejects such as Z/1
         print(f"rhocalc: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
-    if args.as_json:
-        doc = {"schema": 1, "reports": [r.payload() for r in reports]}
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True, default=str))
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write(_human(reports))
+    except Exception as e:
+        # a fault outside any statement, e.g. a report too large to print
+        print(f"rhocalc: internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
+    sys.stdout.write(out)
     return 0 if ok else 1
 
 

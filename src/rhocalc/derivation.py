@@ -75,6 +75,7 @@ class Derivation:
         if f.ctx != self.ctx:
             raise ContextMismatch("derivation applied across contexts")
         ctx = self.ctx
+        # terms, not a Context.sum: that would build a polynomial per term
         out: dict = {}
         for mono, coef in f.terms.items():
             k = 0  # rho(|X|, degree of the factors left of x_a) = zeta_N^k
@@ -312,8 +313,7 @@ def infinitesimal_deformation(f: GradedPoly, x: Derivation,
         images[a] = ext.gen(v.name) + eps * lift_poly(comp, ext)
     lhs = substitute(f, images, ext)
     grad = gradients(ctx, [f])[0]
-    acc = ext.zero()
-    for a, comp in x.components.items():
-        acc = acc + lift_poly(comp, ext) * lift_poly(grad[a], ext)
+    acc = ext.sum(lift_poly(comp, ext) * lift_poly(grad[a], ext)
+                  for a, comp in x.components.items())
     rhs = lift_poly(f, ext) + eps * acc
     return lhs, rhs, ext

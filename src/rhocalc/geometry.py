@@ -135,9 +135,7 @@ def chain_rule_check(t: TransitionMap, extra_polys=()) -> dict:
     for f, lhs_row, grad in zip(samples, lhs_rows, gradients(tgt, samples)):
         pulled = [t.pullback(dfa) for dfa in grad]
         for b, (vb, lhs) in enumerate(zip(src.variables, lhs_row)):
-            rhs = src.zero()
-            for a, pa in enumerate(pulled):
-                rhs = rhs + jac.entry(a, b) * pa
+            rhs = src.sum(jac.entry(a, b) * pa for a, pa in enumerate(pulled))
             if lhs != rhs:
                 failures.append({"poly": f.text(), "coordinate": vb.name,
                                  "lhs": lhs.text(), "rhs": rhs.text()})
@@ -314,14 +312,9 @@ class DeRhamChart:
         big = self.chart.ctx
         dxs = [big.gen(big.variables[self.dvar[b]].name)
                for b in range(self.base.ctx.nvars)]
-        out = []
-        for grad in gradients(self.base.ctx, polys):
-            acc = big.zero()
-            for dx, part in zip(dxs, grad):
-                if not part.is_zero():
-                    acc = acc + dx * self.lift(part)
-            out.append(acc)
-        return out
+        return [big.sum(dx * self.lift(part) for dx, part in zip(dxs, grad)
+                        if not part.is_zero())
+                for grad in gradients(self.base.ctx, polys)]
 
 
 def de_rham(base: Chart, prefix: str = "d") -> DeRhamChart:
@@ -485,14 +478,15 @@ def schouten(sc: ShiftedCotangent, f: GradedPoly, g: GradedPoly) -> GradedPoly:
     g.degree_of()
     i = sc.shift
     fd, gd = gradients(ctx, [f, g])
-    out = ctx.zero()
-    for a, sa in sc.star.items():
-        da = sc.base.ctx.variables[a].degree
-        if not fd[sa].is_zero() and not gd[a].is_zero():
-            out = out + (fd[sa] * gd[a]).scale(ctx.rho(df + da + i, da + i))
-        if not fd[a].is_zero() and not gd[sa].is_zero():
-            out = out - (fd[a] * gd[sa]).scale(ctx.rho(da, df + i))
-    return out
+
+    def summands():
+        for a, sa in sc.star.items():
+            da = sc.base.ctx.variables[a].degree
+            if not fd[sa].is_zero() and not gd[a].is_zero():
+                yield (fd[sa] * gd[a]).scale(ctx.rho(df + da + i, da + i))
+            if not fd[a].is_zero() and not gd[sa].is_zero():
+                yield -(fd[a] * gd[sa]).scale(ctx.rho(da, df + i))
+    return ctx.sum(summands())
 
 
 def lift_to_shifted_cotangent(q: Derivation, shift: Degree,
@@ -512,10 +506,8 @@ def lift_to_shifted_cotangent(q: Derivation, shift: Degree,
         raise ContextMismatch("field must live on the chart")
     sc = shifted_cotangent(base, shift)
     big = sc.chart.ctx
-    fq = big.zero()
-    for a, comp in q.components.items():
-        star_name = big.variables[sc.star[a]].name
-        fq = fq + lift_poly(comp, big) * big.gen(star_name)
+    fq = big.sum(lift_poly(comp, big) * big.gen(big.variables[sc.star[a]].name)
+                 for a, comp in q.components.items())
     want = q.degree - shift
     if not fq.has_degree(want):
         raise GradingViolation("fiber-linear encoding is not homogeneous")

@@ -8,7 +8,7 @@ alternating variables; the graded Berezinian by the Schur complement.
 
 from __future__ import annotations
 
-from .algebra import Context, GradedPoly, Var, add_term, lift_poly, prime_context
+from .algebra import Context, GradedPoly, Var, lift_poly, prime_context
 from .errors import (GradingViolation, MixedParity, NonzeroDegree,
                      NotInvertible, NotSplitTuple, ShapeMismatch,
                      TruncationRequired)
@@ -106,15 +106,8 @@ class GradedMatrix:
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch("inner degree tuples differ")
-        ents = []
-        for k in range(self.nrows):
-            row = []
-            for l in range(other.ncols):
-                acc = self.ctx.zero()
-                for j in range(self.ncols):
-                    acc = acc + self.entries[k][j] * other.entries[j][l]
-                row.append(acc)
-            ents.append(row)
+        ents = [[self.ctx.sum(a * other.entries[j][l] for j, a in enumerate(row))
+                 for l in range(other.ncols)] for row in self.entries]
         return GradedMatrix(self.ctx, self.rows, other.cols,
                             self.degree + other.degree, ents)
 
@@ -184,10 +177,8 @@ def rho_tr(f: GradedMatrix) -> GradedPoly:
     """Weighted trace sum rho(i_k + |F|, i_k) f_kk."""
     if f.nrows != f.ncols:
         raise ShapeMismatch("trace of a non-square matrix")
-    acc = f.ctx.zero()
-    for k, i in enumerate(f.rows):
-        acc = acc + f.entries[k][k].scale(f.ctx.rho(i + f.degree, i))
-    return acc
+    return f.ctx.sum(f.entries[k][k].scale(f.ctx.rho(i + f.degree, i))
+                     for k, i in enumerate(f.rows))
 
 
 def _fresh(ctx: Context, base: str) -> str:
@@ -208,24 +199,20 @@ def _expand(start: GradedPoly, rows, cols, extend) -> GradedPoly:
     extend(word, r, c, odd) appends column c for row r; odd is the parity of
     c's position among the free columns, so a bijection's parities sum to its
     inversion count.  The walk is depth first in lexicographic order: each
-    prefix word is computed once, zero prefixes are pruned, and a coefficient
-    is dropped the moment it cancels, so it ends at the conductor of the
-    plain permutation sum.
+    prefix word is computed once and zero prefixes are pruned.  The leaf
+    words go to `Context.sum` in walk order, the left fold of the plain
+    permutation sum, so the result ends at that sum's conductors.
     """
-    total: dict = {}
-
     def walk(word: GradedPoly, k: int, free: list):
         if k == len(rows):
-            for mono, c in word.terms.items():
-                add_term(total, mono, c)
+            yield word
             return
         for pos, col in enumerate(free):
             nxt = extend(word, rows[k], col, pos & 1)
             if not nxt.is_zero():
-                walk(nxt, k + 1, free[:pos] + free[pos + 1:])
+                yield from walk(nxt, k + 1, free[:pos] + free[pos + 1:])
 
-    walk(start, 0, list(cols))
-    return GradedPoly(start.ctx, total)
+    return start.ctx.sum(walk(start, 0, list(cols)))
 
 
 def rho_det(f: GradedMatrix) -> GradedPoly:
@@ -404,10 +391,7 @@ def linearize_det(f: GradedMatrix):
     aux, _, ef = _adjoin_eps(f)
     one = GradedMatrix.identity(aux, f.rows)
     lhs = rho_det(one + ef)
-    rhs = aux.one()
-    for k in range(f.nrows):
-        rhs = rhs + ef.entries[k][k]
-    return lhs, rhs
+    return lhs, aux.sum([aux.one(), *(ef.entries[k][k] for k in range(f.nrows))])
 
 
 def linearize_ber(f: GradedMatrix):

@@ -41,9 +41,8 @@ def torus_scenario(m: int = 2, theta12=Fraction(1, 4), degree_bound: int = 6):
     q = Derivation(ctx, fac.prime_degree(1, zero_g), comps, "Q")
     vol = VolumeForm.on_chart(chart, ctx.one())
     report = modular_class(q, vol, degree_bound)
-    expected = ctx.zero()
-    for a in range(m):
-        expected = expected + ctx.word(-1, [("tau", 1), (f"eta{a + 1}", 1)])
+    expected = ctx.sum(ctx.word(-1, [("tau", 1), (f"eta{a + 1}", 1)])
+                       for a in range(m))
     payload = {
         "scenario": "torus",
         "params": {"m": m, "theta12": str(theta12)},

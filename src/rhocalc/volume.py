@@ -73,16 +73,14 @@ def _weighted_partials(x: Derivation, s: GradedPoly,
                        s_inv: GradedPoly | None = None) -> GradedPoly:
     """sum_a rho(|x^a|, |x^a| + |X|) d/dx^a (X^a s), each term times s_inv
     when one is given."""
-    ctx = x.ctx
-    acc = ctx.zero()
-    for a, comp in x.components.items():
-        v = ctx.variables[a]
-        w = ctx.rho(v.degree, v.degree + x.degree)
-        term = partial(ctx, v.name).apply(comp * s)
-        if s_inv is not None:
-            term = s_inv * term
-        acc = acc + term.scale(w)
-    return acc
+    def summands(ctx):
+        for a, comp in x.components.items():
+            v = ctx.variables[a]
+            term = partial(ctx, v.name).apply(comp * s)
+            if s_inv is not None:
+                term = s_inv * term
+            yield term.scale(ctx.rho(v.degree, v.degree + x.degree))
+    return x.ctx.sum(summands(x.ctx))
 
 
 def divergence_on_chart(x: Derivation, s: GradedPoly) -> GradedPoly:

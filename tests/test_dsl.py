@@ -462,6 +462,33 @@ def test_cli_rejects_a_bad_truncation(tmp_path, args, env, message):
     assert out.stderr == f"rhocalc: {message}\n"
 
 
+def test_cli_undecodable_file_cannot_be_read(tmp_path):
+    # invalid UTF-8 used to escape `except OSError` as a traceback, exit 1
+    session = tmp_path / "bad.rc"
+    session.write_bytes(b"group Z/2;\xff\n")
+    out = _run_cli(["run", str(session)], cwd=tmp_path)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith(f"rhocalc: cannot read {session}: 'utf-8' codec")
+    assert out.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_cli_unprintable_report_is_an_internal_error(tmp_path, as_json):
+    # a conductor of about 5000 digits is past json's int-to-text limit, so
+    # printing the factor's report fails outside any statement
+    a, b = 10 ** 2500 + 1, 10 ** 2500 + 3
+    session = tmp_path / "big.rc"
+    session.write_text(f"factor torus [[0,1/{a},1/{b}],[-1/{a},0,0],[-1/{b},0,0]];\n",
+                       encoding="utf-8")
+    out = _run_cli(["run", str(session), *(["--json"] if as_json else [])],
+                   cwd=tmp_path)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("rhocalc: internal error: ValueError: Exceeds the limit")
+    assert out.stderr.count("\n") == 1
+
+
 def test_dsl_session_digests_match_bench_references(tmp_path, monkeypatch):
     # every dsl_session task of the benchmark, run through cli.main, against
     # the output digests stored under bench/

@@ -1,8 +1,10 @@
 """Graded matrix invariants against classical oracles and exact identities."""
 
+import importlib
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -562,35 +564,42 @@ def _bucket_entry(ctx, rng, want, maxexp=1, terms=1):
 
 
 def test_rho_det_full_matrices_twisted_torus(rng):
-    # dense degree-0 matrices whose entries do not commute with each other
-    ctx = _twisted_torus_context()
-    g = ctx.factor.group
-    e1, e2 = g.generator(0), g.generator(1)
-    assert ctx.gen("u2") * ctx.gen("v1") == \
-        (ctx.gen("v1") * ctx.gen("u2")).scale(Cyclo.root_of_unity(4))
-    for degs in [(g.zero(), e1), (g.zero(), e1, e1 + e2), (e1, e2, g.zero())]:
-        for _ in range(8):
+    # dense degree-0 matrices whose entries do not commute with each other;
+    # theta 1/8 on the slots (0, e1, e2, e1 + e2) is the det_ber torus8 shape,
+    # where multiplicativity (Covolo, Ovsienko and Poncin, J. Geom. Phys.
+    # 2012) meets conductor 8
+    for theta, tuples in [
+            (Fraction(1, 4), [[(0, 0), (1, 0)], [(0, 0), (1, 0), (1, 1)],
+                              [(1, 0), (0, 1), (0, 0)]]),
+            (Fraction(1, 8), [[(0, 0), (1, 0), (0, 1), (1, 1)]])]:
+        ctx = _twisted_torus_context(theta)
+        g = ctx.factor.group
+        assert ctx.gen("u2") * ctx.gen("v1") == (ctx.gen("v1") * ctx.gen("u2")).scale(
+            Cyclo.root_of_unity(theta.denominator))
+        for slots in tuples:
+            degs = tuple(g.degree(*s) for s in slots)
             n = len(degs)
-            def rand():
-                ents = [[_bucket_entry(ctx, rng, degs[k] - degs[l])
-                         for l in range(n)] for k in range(n)]
-                for k in range(n):
-                    ents[k][k] = ents[k][k] + ctx.scalar(random_scalar(rng))
-                return GradedMatrix(ctx, degs, degs, g.zero(), ents)
-            f, g2 = rand(), rand()
-            rep = rho_det_properties_check(f, g2)
-            assert rep["ok"], rep
-            lhs, rhs = linearize_det(f)
-            assert lhs == rhs
-            # invertibility: scalar diagonal dominates the free part here
-            d = rho_det(f)
-            if not d.i_free_part().is_zero():
-                try:
-                    assert d.invert() * d == ctx.one()
-                    fi = inverse(f)
-                    assert f @ fi == GradedMatrix.identity(ctx, degs)
-                except TruncationRequired:
-                    pass
+            for _ in range(8):
+                def rand():
+                    ents = [[_bucket_entry(ctx, rng, degs[k] - degs[l])
+                             for l in range(n)] for k in range(n)]
+                    for k in range(n):
+                        ents[k][k] = ents[k][k] + ctx.scalar(random_scalar(rng))
+                    return GradedMatrix(ctx, degs, degs, g.zero(), ents)
+                f, g2 = rand(), rand()
+                rep = rho_det_properties_check(f, g2)
+                assert rep["ok"], rep
+                lhs, rhs = linearize_det(f)
+                assert lhs == rhs
+                # invertibility: scalar diagonal dominates the free part here
+                d = rho_det(f)
+                if not d.i_free_part().is_zero():
+                    try:
+                        assert d.invert() * d == ctx.one()
+                        fi = inverse(f)
+                        assert f @ fi == GradedMatrix.identity(ctx, degs)
+                    except TruncationRequired:
+                        pass
 
 
 def test_rho_ber_on_parity_extended_torus(rng):
@@ -882,3 +891,23 @@ def test_inverse_and_ber_match_the_adjugate_oracle(family):
                     assert_same_bytes(a, b)
             checked += 1
     assert checked >= 8
+
+
+def test_det_ber_digests_match_bench_references(monkeypatch):
+    # every det_ber task of the benchmark (det, Ber and inverse up to 6x6,
+    # the last two through GradedMatrix.__matmul__) against the output
+    # digests stored under bench/
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    rc = {m: importlib.import_module("rhocalc." + m)
+          for m in ("cyclo", "grading", "algebra", "matrix")}
+    for seed in (1, 2):
+        refs = checks.load_references("det_ber", seed)
+        data = workloads.make_data("det_ber", seed, None)
+        objs = workloads.build(rc, "det_ber", data, None)
+        assert len(refs) == len(data)
+        for task, obj in zip(data, objs):
+            result = workloads.RUNNERS["det_ber"](rc, task, obj)
+            text = workloads.TEXTS["det_ber"](result)
+            assert checks.digest(text) == refs[task["id"]], (seed, task["id"])

@@ -1,16 +1,18 @@
 """Hypothesis property tests for the core invariants."""
 
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rhocalc.algebra import GradedPoly
 from rhocalc.cyclo import Cyclo
-from rhocalc.errors import ConstraintViolation
+from rhocalc.errors import ConstraintViolation, ContextMismatch
 from rhocalc.grading import GroupSpec, super_factor, torus_factor, trivial_factor
 
-from conftest import all_monomials, super_context, torus_context
+from conftest import all_monomials, super_context, torus8_context, torus_context
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -100,6 +102,57 @@ def test_homogeneous_decomposition_sums_back(f):
     for d in f.degrees():
         total = total + f.homogeneous_part(d)
     assert total == f
+
+
+_TORUS8 = torus8_context()
+
+# q * zeta_n^k stored at conductor n: zeta(4) and zeta(8)^2 are one value
+# stored two ways, so a sum that moved a conductor would show in the stored form
+zeta_coefs = st.builds(lambda q, n, k: Cyclo.rational(q) * Cyclo.root_of_unity(n, k),
+                       rationals.filter(bool), st.sampled_from((1, 4, 8)),
+                       st.integers(min_value=0, max_value=7))
+torus8_polys = st.lists(st.tuples(st.sampled_from(all_monomials(_TORUS8, 1)), zeta_coefs),
+                        max_size=3).map(lambda ts: GradedPoly(_TORUS8, dict(ts)))
+# each drawn polynomial, followed by its negative when the flag is set
+summand_lists = st.lists(st.tuples(torus8_polys, st.booleans()), max_size=6).map(
+    lambda xs: [q for p, pair in xs for q in ((p, -p) if pair else (p,))])
+
+
+def _stored(terms):
+    return {m: (c.n, c.num, c.den) for m, c in terms.items()}
+
+
+def _reference_fold(ps):
+    out = {}
+    for p in ps:
+        for m, c in p.terms.items():
+            s = out[m] + c if m in out else c
+            if s.is_zero():
+                del out[m]
+            else:
+                out[m] = s
+    return out
+
+
+_U1 = (1, 0, 0, 0)
+_Z8SQ = GradedPoly(_TORUS8, {_U1: Cyclo.root_of_unity(8, 2)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(summand_lists, st.integers(min_value=0, max_value=12))
+@example([_Z8SQ, -_Z8SQ, GradedPoly(_TORUS8, {_U1: Cyclo.root_of_unity(4)})], 0)
+def test_context_sum_is_the_left_fold_of_plus(ps, at):
+    # a cancelled coefficient restarts: zeta(8)^2 - zeta(8)^2 + zeta(4) is
+    # stored at conductor 4, not lifted to 8
+    want = _stored(_reference_fold(ps))
+    assert _stored(_TORUS8.sum(ps).terms) == want
+    assert _stored(functools.reduce(operator.add, ps, _TORUS8.zero()).terms) == want
+    foreign = torus_context().gen("u1")
+    with pytest.raises(ContextMismatch) as err:
+        _TORUS8.sum(ps[:at] + [foreign] + ps[at:])
+    with pytest.raises(ContextMismatch) as by_mul:
+        _TORUS8.one() * foreign
+    assert str(err.value) == str(by_mul.value)
 
 
 _GROUPS = [GroupSpec(2), GroupSpec(0, (2,)), GroupSpec(1, (4, 3)), GroupSpec(2, (8,))]
