@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-from .algebra import BASE, Context, GradedPoly, Var, add_term, lift_poly, substitute
+from .algebra import (BASE, Context, GradedPoly, Var, add_term, adjoin_eps,
+                      lift_poly, substitute)
 from .cyclo import Cyclo
 from .errors import (ConstraintViolation, ContextMismatch, DegreeMismatch,
                      GradingViolation)
@@ -109,15 +110,13 @@ class Derivation:
             return r2[1], c
 
     def _power_derivative(self, a: int, e: int, comp: GradedPoly) -> dict:
-        """The terms of X applied to x_a^e, one Leibniz block."""
+        """The terms of X applied to x_a^e, one Leibniz block; an odd x_a
+        has e = 1, where the loop below yields X^a's terms unchanged."""
         ctx = self.ctx
-        kind = ctx.variables[a].kind
-        if kind == ODD:
-            return comp.terms
 
         def power(p):
             return (0,) * a + (p,) + (0,) * (ctx.nvars - a - 1)
-        if kind == BASE:
+        if ctx.variables[a].kind == BASE:
             # degree-0 variable: commutes with everything, plain power rule,
             # valid for negative exponents of Laurent variables too
             return {r[1]: c * e for m, c in comp.terms.items()
@@ -186,11 +185,8 @@ def commutator(x: Derivation, y: Derivation) -> Derivation:
         raise ContextMismatch("commutator of derivations")
     ctx = x.ctx
     rho = ctx.rho(x.degree, y.degree)
-    comps = {}
-    for a in range(ctx.nvars):
-        val = x.apply(y.component(a)) - y.apply(x.component(a)).scale(rho)
-        if not val.is_zero():
-            comps[a] = val
+    comps = {a: x.apply(y.component(a)) - y.apply(x.component(a)).scale(rho)
+             for a in range(ctx.nvars)}
     return Derivation(ctx, x.degree + y.degree, comps,
                       f"[{x.name},{y.name}]")
 
@@ -267,7 +263,7 @@ class LieStructure:
         return len(self.degrees)
 
 
-def ce_differential(lie: LieStructure, var_prefix: str = "xi",
+def ce_differential(lie: LieStructure,
                     truncation: int | None = None) -> tuple[Context, Derivation]:
     """The quadratic differential encoding a bracket on shifted dual variables.
 
@@ -279,34 +275,31 @@ def ce_differential(lie: LieStructure, var_prefix: str = "xi",
     vars_ = []
     for a, d in enumerate(lie.degrees):
         dd = lie.factor.prime_degree(1, -d)
-        vars_.append(Var(f"{var_prefix}{a + 1}", dd, fac.parity(dd)))
+        vars_.append(Var(f"xi{a + 1}", dd, fac.parity(dd)))
     ctx = Context(fac, vars_, truncation, name="chevalley")
     half = Fraction(1, 2)
     comps: dict[int, GradedPoly] = {}
     for (a, b, c), g in lie.constants.items():
-        term = ctx.monomial(g * half, {}) * ctx.gen(f"{var_prefix}{a + 1}") \
-            * ctx.gen(f"{var_prefix}{b + 1}")
+        term = ctx.monomial(g * half, {}) * ctx.gen(f"xi{a + 1}") \
+            * ctx.gen(f"xi{b + 1}")
         comps[c] = comps.get(c, ctx.zero()) + term
     qdeg = lie.factor.prime_degree(1, lie.bracket_degree)
     return ctx, Derivation(ctx, qdeg, comps, "Q")
 
 
-def infinitesimal_deformation(f: GradedPoly, x: Derivation,
-                              eps_name: str = "eps"):
+def infinitesimal_deformation(f: GradedPoly, x: Derivation):
     """Both sides of the first-order Taylor identity.
 
     Returns (substituted, first_order, extended_context) where `substituted`
     is f evaluated at x^a + eps X^a and `first_order` is
     f + eps sum_a X^a df/dx^a, over the context extended by the nilpotent
-    parameter eps of degree -|X|.
+    parameter eps of degree -|X| (`algebra.adjoin_eps`: a fresh name, and a
+    truncation order one higher).
     """
     ctx = f.ctx
     if x.ctx != ctx:
         raise ContextMismatch("deformation across contexts")
-    deps = -x.degree
-    kind = ctx.factor.parity(deps)
-    ext = ctx.extend([Var(eps_name, deps, kind, cap=1)], name=ctx.name + "+eps")
-    eps = ext.gen(eps_name)
+    ext, eps = adjoin_eps(ctx, -x.degree)
     images = {}
     for a, comp in x.components.items():
         v = ctx.variables[a]

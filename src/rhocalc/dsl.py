@@ -22,11 +22,10 @@ from .geometry import (Atlas, Chart, TransitionMap, cartan_report,
                        chain_rule_check, cocycle_check, cotangent_bundle,
                        de_rham, jacobian, make_chart, schouten,
                        shifted_cotangent, tangent_bundle)
-from .grading import (CommutationFactor, Degree, GroupSpec, super_factor,
-                      torus_factor, trivial_factor, validate_factor)
+from .grading import (CommutationFactor, Degree, GroupSpec, torus_factor,
+                      trivial_factor, validate_factor)
 from .matrix import GradedMatrix, rho_ber, rho_det, rho_tr
-from .scenarios import (builtin_scenarios, cstar_scenario, derham_scenario,
-                        shifted_cotangent_scenario, torus_scenario)
+from .scenarios import SCENARIOS, builtin_scenarios
 from .volume import VolumeForm, divergence, modular_class, volumes_equivalent
 
 COMMANDS = {"normalize", "commutator", "det", "ber", "trace", "qcheck",
@@ -630,11 +629,6 @@ def _components(ctx: Context, comps: dict) -> dict:
     return {ctx.variables[a].name: p.text() for a, p in sorted(comps.items())}
 
 
-# parameters each built-in scenario accepts
-_SCENARIO_PARAMS = {"torus": ("m", "theta12"), "derham": (), "cstar": (),
-                    "shift": (), "all": ()}
-
-
 class Runner:
     def __init__(self, truncation: int | None = 8):
         self.session = Session(truncation=truncation)
@@ -675,11 +669,13 @@ class Runner:
         s = self.session
         form = st["form"]
         if form == "super":
-            fac = super_factor()
-            if s.group is not None and s.group != fac.group:
-                fac = validate_factor(s.group, _super_like_phases(s.group))
+            # rho(g_a, g_a) = -1 on each generator of the group (default Z/2)
+            group = s.group or GroupSpec(0, (2,))
+            n = group.ngens
+            half = [[Fraction(int(a == b), 2) for b in range(n)] for a in range(n)]
+            fac = validate_factor(group, half)
         elif form == "trivial":
-            fac = trivial_factor(s.group) if s.group else trivial_factor()
+            fac = trivial_factor(s.group)
         elif form == "torus":
             fac = torus_factor(st["matrix"])
         else:
@@ -804,13 +800,10 @@ class Runner:
         s = self.session
         name = st["name"].text
         charts = [s.lookup("charts", t) for t in st["charts"]]
-        atlas = Atlas()
-        for c in charts:
-            atlas.charts[c.name] = c
-        names = {c.name for c in charts}
+        atlas = Atlas({c.name: c for c in charts})
         for t in s.transitions.values():
-            if t.source.name in names and t.target.name in names:
-                atlas.maps[(t.source.name, t.target.name)] = t
+            if t.source.name in atlas.charts and t.target.name in atlas.charts:
+                atlas.add(t)
         bundle = (tangent_bundle(atlas) if st["bundle_kind"] == "tangent"
                   else cotangent_bundle(atlas))
         s.bundles[name] = bundle
@@ -910,29 +903,19 @@ class Runner:
     def exec_scenarios(self, st):
         which = st["which"]
         params = st["params"]
-        if which not in _SCENARIO_PARAMS:
+        if which not in SCENARIOS and which != "all":
             raise ResolveError(which)
         for key in params:
-            if key not in _SCENARIO_PARAMS[which]:
+            if which != "torus" or key not in ("m", "theta12"):
                 raise BadParameter(f"scenario {which} has no parameter {key}")
-        if which == "torus":
-            m = params.get("m", 2)
-            if m < 0 or m.denominator != 1:
-                raise BadParameter(f"m must be a nonnegative integer, got {m}")
-            theta12 = params.get("theta12", Fraction(1, 4))
-            return torus_scenario(m=int(m), theta12=theta12)[0]
         if which == "all":
             return builtin_scenarios()
-        return {"derham": derham_scenario, "cstar": cstar_scenario,
-                "shift": shifted_cotangent_scenario}[which]()[0]
-
-
-def _super_like_phases(group: GroupSpec):
-    n = group.ngens
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        rows[a][a] = Fraction(1, 2)
-    return rows
+        if "m" in params:
+            m = params["m"]
+            if m < 0 or m.denominator != 1:
+                raise BadParameter(f"m must be a nonnegative integer, got {m}")
+            params = {**params, "m": int(m)}
+        return SCENARIOS[which](**params)[0]
 
 
 def run_session(text: str, truncation: int | None = 8):

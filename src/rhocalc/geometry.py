@@ -17,7 +17,7 @@ from .algebra import (BASE, Context, GradedPoly, Var, lift_poly, prime_context,
                       substitute)
 from .derivation import Derivation, commutator, gradients, is_homological
 from .errors import (ContextMismatch, GradingViolation, NotHomological,
-                     OverlapMismatch, ShapeMismatch)
+                     NotInvertible, OverlapMismatch, ShapeMismatch)
 from .grading import ODD, CommutationFactor, Degree
 from .matrix import GradedMatrix, rho_ber
 
@@ -114,14 +114,11 @@ def jacobian_berezinian(t: TransitionMap) -> GradedPoly:
 def transition_invertible(t: TransitionMap) -> bool:
     """A transition is invertible mod the formal ideal exactly when the
     Berezinian of its Jacobian is a unit."""
-    from .errors import NotInvertible
-
     try:
-        ber = jacobian_berezinian(t)
-        ber.invert()
+        jacobian_berezinian(t).invert()
     except NotInvertible:
         return False
-    return not ber.is_zero()
+    return True
 
 
 def chain_rule_check(t: TransitionMap, extra_polys=()) -> dict:
@@ -317,7 +314,7 @@ class DeRhamChart:
                 for grad in gradients(self.base.ctx, polys)]
 
 
-def de_rham(base: Chart, prefix: str = "d") -> DeRhamChart:
+def de_rham(base: Chart) -> DeRhamChart:
     """Doubled chart with odd/even dx's over the Z x G factor, and d."""
     ctx = base.ctx
     fac = ctx.factor
@@ -326,11 +323,11 @@ def de_rham(base: Chart, prefix: str = "d") -> DeRhamChart:
     n = ctx.nvars
     for v in ctx.variables:
         dd = fac.prime_degree(1, v.degree)
-        extra.append(Var(prefix + v.name, dd, pfac.parity(dd)))
+        extra.append(Var("d" + v.name, dd, pfac.parity(dd)))
     big = prime_context(ctx, extra, name=base.name + "^dR")
     chart = Chart(base.name + "^dR", big)
     dvar = {a: n + a for a in range(n)}
-    comps = {a: big.gen(prefix + ctx.variables[a].name) for a in range(n)}
+    comps = {a: big.gen("d" + ctx.variables[a].name) for a in range(n)}
     d = Derivation(big, fac.prime_degree(1, fac.group.zero()), comps, name="d")
     return DeRhamChart(base, chart, dvar, d)
 
@@ -372,10 +369,6 @@ def interior_product(dr: DeRhamChart, x: Derivation) -> Derivation:
                       f"i_{x.name}")
 
 
-def zero_derivation(ctx: Context, degree: Degree) -> Derivation:
-    return Derivation(ctx, degree, {}, "0")
-
-
 def cartan_report(base: Chart, x: Derivation, y: Derivation,
                   samples=()) -> dict:
     """Exact operator identities on the de Rham chart of `base`.
@@ -392,8 +385,7 @@ def cartan_report(base: Chart, x: Derivation, y: Derivation,
     report["d_squared_zero"] = bool(is_homological(d))
     report["lie_functorial"] = (commutator(lx, ly)
                                 == lie_derivative(dr, commutator(x, y)))
-    zero_dl = zero_derivation(big, d.degree + lx.degree)
-    report["d_invariant"] = (commutator(d, lx) == zero_dl)
+    report["d_invariant"] = commutator(d, lx).is_zero()
     report["magic_formula"] = (commutator(d, ix) == lx)
     report["interior_reads_components"] = all(
         ix.apply(big.gen(big.variables[dr.dvar[a]].name)) == dr.lift(x.component(a))
@@ -418,16 +410,12 @@ def q_structure_report(base: Chart, q: Derivation) -> dict:
         raise NotHomological(check.reason)
     dr = de_rham(base)
     d = dr.differential
-    big = dr.chart.ctx
     lq = lie_derivative(dr, q)
     report = {
         "d_squared_zero": bool(is_homological(d)),
-        "lie_q_squared_zero": commutator(lq, lq) == zero_derivation(
-            big, lq.degree + lq.degree),
-        "d_lie_q_bracket_zero": commutator(d, lq) == zero_derivation(
-            big, d.degree + lq.degree),
-        "lie_q_d_bracket_zero": commutator(lq, d) == zero_derivation(
-            big, d.degree + lq.degree),
+        "lie_q_squared_zero": commutator(lq, lq).is_zero(),
+        "d_lie_q_bracket_zero": commutator(d, lq).is_zero(),
+        "lie_q_d_bracket_zero": commutator(lq, d).is_zero(),
     }
     report["sum_bracket_zero"] = all(report.values())
     report["ok"] = report["sum_bracket_zero"]
@@ -450,15 +438,14 @@ class ShiftedCotangent:
         return lift_poly(f, self.chart.ctx)
 
 
-def shifted_cotangent(base: Chart, shift: Degree,
-                      suffix: str = "_st") -> ShiftedCotangent:
+def shifted_cotangent(base: Chart, shift: Degree) -> ShiftedCotangent:
     ctx = base.ctx
     fac = ctx.factor
     extra = []
     for v in ctx.variables:
         d = -v.degree - shift
         kind = BASE if d.is_zero() else fac.parity(d)
-        extra.append(Var(v.name + suffix, d, kind))
+        extra.append(Var(v.name + "_st", d, kind))
     big = ctx.extend(extra, name=f"{base.name}[-{shift.text()}]T*")
     n = ctx.nvars
     return ShiftedCotangent(base, shift, Chart(big.name, big),
@@ -511,10 +498,7 @@ def lift_to_shifted_cotangent(q: Derivation, shift: Degree,
     want = q.degree - shift
     if not fq.has_degree(want):
         raise GradingViolation("fiber-linear encoding is not homogeneous")
-    comps = {}
-    for z in range(big.nvars):
-        val = schouten(sc, fq, big.gen(big.variables[z].name))
-        if not val.is_zero():
-            comps[z] = val
+    comps = {z: schouten(sc, fq, big.gen(v.name))
+             for z, v in enumerate(big.variables)}
     qt = Derivation(big, q.degree, comps, name=f"{q.name}~")
     return sc, fq, qt

@@ -8,7 +8,8 @@ alternating variables; the graded Berezinian by the Schur complement.
 
 from __future__ import annotations
 
-from .algebra import Context, GradedPoly, Var, lift_poly, prime_context
+from .algebra import (Context, GradedPoly, Var, _bumped, _fresh, adjoin_eps,
+                      lift_poly, prime_context)
 from .errors import (GradingViolation, MixedParity, NonzeroDegree,
                      NotInvertible, NotSplitTuple, ShapeMismatch,
                      TruncationRequired)
@@ -179,18 +180,6 @@ def rho_tr(f: GradedMatrix) -> GradedPoly:
         raise ShapeMismatch("trace of a non-square matrix")
     return f.ctx.sum(f.entries[k][k].scale(f.ctx.rho(i + f.degree, i))
                      for k, i in enumerate(f.rows))
-
-
-def _fresh(ctx: Context, base: str) -> str:
-    # returned name is also safe as a prefix for numbered families
-    name = base
-    while any(v.name.startswith(name) for v in ctx.variables):
-        name += "_"
-    return name
-
-
-def _bumped(t: int | None, extra: int) -> int | None:
-    return None if t is None else t + extra
 
 
 def _expand(start: GradedPoly, rows, cols, extend) -> GradedPoly:
@@ -373,22 +362,17 @@ def rho_ber(f: GradedMatrix) -> GradedPoly:
 
 
 def _adjoin_eps(f: GradedMatrix):
-    ctx = f.ctx
-    name = _fresh(ctx, "eps")
-    deps = -f.degree
-    kind = ctx.factor.parity(deps)
-    aux = ctx.extend([Var(name, deps, kind, cap=1)],
-                     truncation=_bumped(ctx.truncation, 1), name="eps-aux")
-    eps = aux.gen(name)
+    """(aux, eps F) over the dual-number extension of f's context."""
+    aux, eps = adjoin_eps(f.ctx, -f.degree)
     lifted = GradedMatrix(aux, f.rows, f.cols, f.degree,
                           [[lift_poly(e, aux) for e in row] for row in f.entries],
                           check=False)
-    return aux, eps, left_act(eps, lifted)
+    return aux, left_act(eps, lifted)
 
 
 def linearize_det(f: GradedMatrix):
     """(det(1 + eps F), 1 + trace(eps F)) over the dual-number extension."""
-    aux, _, ef = _adjoin_eps(f)
+    aux, ef = _adjoin_eps(f)
     one = GradedMatrix.identity(aux, f.rows)
     lhs = rho_det(one + ef)
     return lhs, aux.sum([aux.one(), *(ef.entries[k][k] for k in range(f.nrows))])
@@ -396,7 +380,7 @@ def linearize_det(f: GradedMatrix):
 
 def linearize_ber(f: GradedMatrix):
     """(Ber(1 + eps F), 1 + weighted trace(eps F)) over the dual numbers."""
-    aux, _, ef = _adjoin_eps(f)
+    aux, ef = _adjoin_eps(f)
     one = GradedMatrix.identity(aux, f.rows)
     lhs = rho_ber(one + ef)
     rhs = aux.one() + rho_tr(ef)
@@ -404,9 +388,9 @@ def linearize_ber(f: GradedMatrix):
 
 
 def rho_det_properties_check(f: GradedMatrix, g: GradedMatrix,
-                             scale_by=2, row: int = 0) -> dict:
-    """Check multiplicativity, row additivity/scaling and repeated-row
-    vanishing on a concrete pair; returns per-property verdicts."""
+                             scale_by=2) -> dict:
+    """Check multiplicativity, additivity/scaling in the first row and
+    repeated-row vanishing on a concrete pair; returns per-property verdicts."""
     report: dict = {}
     det_f = rho_det(f)
     det_g = rho_det(g)
@@ -415,21 +399,20 @@ def rho_det_properties_check(f: GradedMatrix, g: GradedMatrix,
 
     def with_row(m: GradedMatrix, entries_row) -> GradedMatrix:
         ents = [list(r) for r in m.entries]
-        ents[row] = list(entries_row)
+        ents[0] = list(entries_row)
         return GradedMatrix(m.ctx, m.rows, m.cols, m.degree, ents, check=False)
 
-    mixed = with_row(f, g.entries[row])
-    added = with_row(f, [a + b for a, b in zip(f.entries[row], g.entries[row])])
+    mixed = with_row(f, g.entries[0])
+    added = with_row(f, [a + b for a, b in zip(f.entries[0], g.entries[0])])
     report["row_additive"] = (rho_det(added) == det_f + rho_det(mixed))
     if isinstance(scale_by, GradedPoly):
-        scaled = with_row(f, [scale_by * e for e in f.entries[row]])
+        scaled = with_row(f, [scale_by * e for e in f.entries[0]])
         report["row_scaling"] = (rho_det(scaled) == scale_by * det_f)
     else:
-        scaled = with_row(f, [e.scale(scale_by) for e in f.entries[row]])
+        scaled = with_row(f, [e.scale(scale_by) for e in f.entries[0]])
         report["row_scaling"] = (rho_det(scaled) == det_f.scale(scale_by))
-    other = (row + 1) % f.nrows if f.nrows > 1 else row
-    repeated = with_row(f, f.entries[other])
-    report["repeated_row_zero"] = rho_det(repeated).is_zero() if f.nrows > 1 else True
+    report["repeated_row_zero"] = (f.nrows < 2
+                                   or rho_det(with_row(f, f.entries[1])).is_zero())
     report["ok"] = all(report[k] for k in
                        ("multiplicative", "row_additive", "row_scaling",
                         "repeated_row_zero"))

@@ -12,11 +12,13 @@ from fractions import Fraction
 from .algebra import lift_poly
 from .derivation import Derivation
 from .geometry import de_rham, lift_to_shifted_cotangent, make_chart
-from .grading import GroupSpec, trivial_factor, torus_factor
+from .grading import GroupSpec, super_factor, torus_factor, trivial_factor
 from .volume import (VolumeForm, divergence, modular_class, volumes_equivalent)
 
+DEGREE_BOUND = 6    # the exactness search bound of every scenario's class
 
-def torus_scenario(m: int = 2, theta12=Fraction(1, 4), degree_bound: int = 6):
+
+def torus_scenario(m: int = 2, theta12=Fraction(1, 4)):
     """BRST differential on the polynomial torus algebra; the class is
     -tau * sum(eta^a) where tau stands for the transcendental unit 2*pi*i,
     carried as an invertible central symbol."""
@@ -40,7 +42,7 @@ def torus_scenario(m: int = 2, theta12=Fraction(1, 4), degree_bound: int = 6):
             -1, [("tau", 1), (f"eta{a + 1}", 1), (f"u{a + 1}", 1)])
     q = Derivation(ctx, fac.prime_degree(1, zero_g), comps, "Q")
     vol = VolumeForm.on_chart(chart, ctx.one())
-    report = modular_class(q, vol, degree_bound)
+    report = modular_class(q, vol, DEGREE_BOUND)
     expected = ctx.sum(ctx.word(-1, [("tau", 1), (f"eta{a + 1}", 1)])
                        for a in range(m))
     payload = {
@@ -56,18 +58,16 @@ def torus_scenario(m: int = 2, theta12=Fraction(1, 4), degree_bound: int = 6):
                      "expected": expected}
 
 
-def derham_scenario(degree_bound: int = 6):
+def derham_scenario():
     """The de Rham differential on the shifted tangent space of a small
     super chart: zero divergence, hence a vanishing class."""
-    from .grading import super_factor
-
     fac = super_factor()
     base = make_chart("M", fac, [("x", fac.group.zero(), False),
                                  ("xi", fac.group.degree(1))])
     dr = de_rham(base)
     q = dr.differential
     vol = VolumeForm.on_chart(dr.chart, dr.chart.ctx.one())
-    report = modular_class(q, vol, degree_bound)
+    report = modular_class(q, vol, DEGREE_BOUND)
     payload = {
         "scenario": "derham",
         "params": {"base": "one even and one odd coordinate"},
@@ -87,7 +87,7 @@ def _punctured_line():
     return de_rham(base)
 
 
-def cstar_scenario(degree_bound: int = 6):
+def cstar_scenario():
     """Two volumes on the punctured line: D*1 has class zero, D*z has the
     representative dz/z which no Laurent function integrates, and the two
     volumes are not exponential-equivalent."""
@@ -96,8 +96,8 @@ def cstar_scenario(degree_bound: int = 6):
     q = dr.differential
     vol1 = VolumeForm.on_chart(dr.chart, ctx.one())
     vol2 = VolumeForm.on_chart(dr.chart, ctx.gen("z"))
-    rep1 = modular_class(q, vol1, degree_bound)
-    rep2 = modular_class(q, vol2, degree_bound)
+    rep1 = modular_class(q, vol1, DEGREE_BOUND)
+    rep2 = modular_class(q, vol2, DEGREE_BOUND)
     equivalent, _ = volumes_equivalent(vol1, vol2)
     expected2 = ctx.monomial(1, {"z": -1, "dz": 1})
     payload = {
@@ -118,7 +118,7 @@ def cstar_scenario(degree_bound: int = 6):
                      "rep1": rep1, "rep2": rep2}
 
 
-def shifted_cotangent_scenario(degree_bound: int = 6):
+def shifted_cotangent_scenario():
     """Degree shifts of the cotangent space over the punctured-line complex:
     lifting the differential rescales the class by (1 - rho(i,i)), so an
     even shift kills it and an odd shift doubles it."""
@@ -139,7 +139,7 @@ def shifted_cotangent_scenario(degree_bound: int = 6):
         else:
             density = lift_poly(base_vol.density(dr.chart.name), big) ** 2
         vol = VolumeForm.on_chart(sc.chart, density)
-        report = modular_class(qt, vol, degree_bound)
+        report = modular_class(qt, vol, DEGREE_BOUND)
         expected = lift_poly(base_div, big).scale(1 - rho_ii.as_fraction())
         out[label] = {
             "shift": shift.text(),
@@ -164,9 +164,11 @@ def shifted_cotangent_scenario(degree_bound: int = 6):
     return payload, objects
 
 
-def builtin_scenarios(degree_bound: int = 6) -> list[dict]:
+# the worked scenarios in their fixed order, by their session-language names
+SCENARIOS = {"torus": torus_scenario, "derham": derham_scenario,
+             "cstar": cstar_scenario, "shift": shifted_cotangent_scenario}
+
+
+def builtin_scenarios() -> list[dict]:
     """The four worked scenarios in a fixed order, payloads only."""
-    return [torus_scenario(degree_bound=degree_bound)[0],
-            derham_scenario(degree_bound=degree_bound)[0],
-            cstar_scenario(degree_bound=degree_bound)[0],
-            shifted_cotangent_scenario(degree_bound=degree_bound)[0]]
+    return [build()[0] for build in SCENARIOS.values()]

@@ -290,22 +290,22 @@ class ModularClassReport:
         }
 
 
-def modular_class(q, vol: VolumeForm, degree_bound: int = 8,
-                  chart: str | None = None) -> ModularClassReport:
-    """Divergence class of a homological field: representative, closedness
-    witness, and the exactness verdict from the bounded solver."""
+def modular_class(q, vol: VolumeForm, degree_bound: int = 8) -> ModularClassReport:
+    """Divergence class of a homological field on the first chart by name:
+    representative, closedness witness, and the exactness verdict from the
+    bounded solver (whose closedness check decides `closed`)."""
     fields = _as_fields(q, vol.atlas)
     for name, qc in fields.items():
         check = is_homological(qc)
         if not check:
             raise NotHomological(f"{name}: {check.reason}")
     divs = divergence(q, vol)
-    chart = chart or sorted(divs)[0]
+    chart = sorted(divs)[0]
     rep = divs[chart]
-    closed = fields[chart].apply(rep).is_zero()
-    if not closed:
+    try:
+        ex = exactness_solve(rep, fields[chart], degree_bound)
+    except NotClosed:
         return ModularClassReport(chart, rep, False, "inconclusive")
-    ex = exactness_solve(rep, fields[chart], degree_bound)
     return ModularClassReport(chart, rep, True, ex.verdict, ex.certificate,
                               ex.searched)
 

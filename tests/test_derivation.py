@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rhocalc.algebra import GradedPoly
+from rhocalc.algebra import Context, GradedPoly, Var
 from rhocalc.cyclo import Cyclo
 from rhocalc.derivation import (Derivation, LieStructure, ce_differential,
                                 commutator, infinitesimal_deformation,
@@ -427,6 +427,33 @@ def test_infinitesimal_taylor_examples(sctx):
     X = Derivation(sctx, sctx.factor.group.zero(), {sctx.index("x"): x * x}, "X")
     lhs, rhs, ext = infinitesimal_deformation(x * x, X)
     assert lhs == rhs
+
+
+def _z2_uv(truncation=2, second="v"):
+    fac = trivial_factor(GroupSpec(2))
+    g = fac.group
+    return Context(fac, [Var("u", g.degree(1, 0), "even"),
+                         Var(second, g.degree(0, 1), "even")], truncation)
+
+
+def test_infinitesimal_taylor_keeps_the_first_order_term_under_truncation():
+    # eps raises the order by one, so eps * u^2 survives a truncation at 2
+    ctx = _z2_uv()
+    u = ctx.gen("u")
+    X = Derivation(ctx, ctx.factor.group.zero(), {ctx.index("u"): u}, "X")
+    lhs, rhs, ext = infinitesimal_deformation(u * u, X)
+    assert ext.truncation == 3
+    assert lhs.text() == rhs.text() == "u^2 + 2 * u^2 * eps"
+
+
+def test_infinitesimal_taylor_takes_a_fresh_eps_name():
+    ctx = _z2_uv(second="eps")
+    u = ctx.gen("u")
+    X = Derivation(ctx, ctx.factor.group.zero(), {ctx.index("u"): u}, "X")
+    lhs, rhs, ext = infinitesimal_deformation(u * u, X)
+    assert [v.name for v in ext.variables] == ["u", "eps", "eps_"]
+    assert lhs == rhs
+    assert lhs.text() == "u^2 + 2 * u^2 * eps_"
 
 
 def test_infinitesimal_taylor_fuzz(rng):

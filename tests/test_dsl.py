@@ -34,6 +34,20 @@ def test_parse_super_preset():
     assert reports[1].result["conductor"] == 2
 
 
+def test_super_preset_on_a_larger_group():
+    # every generator of Z * Z/2 gets the phase 1/2, so w of degree (1,0)
+    # is odd as well as xi
+    reports, ok = run_text("group Z * Z/2; factor super; chart U { base x; "
+                           "formal xi deg (0,1); formal w deg (1,0); }")
+    assert ok
+    fac = reports[1].result
+    assert fac["phase"] == [["1/2", "0"], ["0", "1/2"]]
+    assert fac["conductor"] == 2
+    assert (fac["free_rank"], fac["torsion"]) == (1, [2])
+    assert reports[2].result["coordinates"] == [
+        ("x", "(0,0)", "base"), ("xi", "(0,1)", "odd"), ("w", "(1,0)", "odd")]
+
+
 def test_parse_torus_phases():
     reports, ok = run_text("group Z^2; factor phases [[0,1/4],[-1/4,0]];")
     assert ok

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 import rhocalc.volume as volume
+from rhocalc.algebra import Context, Var
 from rhocalc.derivation import Derivation, commutator, is_homological, partial
 from rhocalc.errors import (CertificateMismatch, NotClosed, NotHomological,
                             NotInvertibleDensity, OverlapMismatch)
-from rhocalc.geometry import Atlas, TransitionMap, make_chart
+from rhocalc.geometry import Atlas, Chart, TransitionMap, make_chart
 from rhocalc.grading import super_factor
 from rhocalc.volume import (VolumeForm, divergence, divergence_on_chart,
                             exactness_solve, jacobian_berezinian,
@@ -291,6 +292,26 @@ def test_exactness_requires_closed():
     q = Derivation(ctx, g.degree(1), {ctx.index("xi"): ctx.gen("x")}, "Q")
     with pytest.raises(NotClosed):
         exactness_solve(ctx.gen("xi"), q)   # Q(xi) = x != 0
+
+
+def test_modular_class_of_a_representative_that_is_not_closed():
+    # Q is homological but Q(-2 eta) = 2 u^2 != 0: the report says so and
+    # makes no exactness claim
+    fac = super_factor()
+    g = fac.group
+    ctx = Context(fac, [Var("x", g.zero(), "base"), Var("u", g.zero(), "even"),
+                        Var("xi", g.degree(1), "odd"),
+                        Var("eta", g.degree(1), "odd")], 2)
+    chart = Chart("M", ctx)
+    u, xi, eta = ctx.gen("u"), ctx.gen("xi"), ctx.gen("eta")
+    q = Derivation(ctx, g.degree(1), {ctx.index("x"): -(u * xi),
+                                      ctx.index("u"): (u * eta).scale(-2),
+                                      ctx.index("eta"): -(u * u)}, "Q")
+    assert is_homological(q)
+    report = modular_class(q, VolumeForm.on_chart(chart, ctx.one()), 4)
+    assert report.payload() == {"chart": "M", "representative": "-2 * eta",
+                                "closed": False, "verdict": "inconclusive",
+                                "certificate": None}
 
 
 def test_modular_class_requires_homological():
