@@ -17,7 +17,8 @@ from fractions import Fraction
 from .algebra import Context, GradedPoly, rho_commutator
 from .cyclo import Cyclo
 from .derivation import Derivation, commutator, is_homological
-from .errors import BadParameter, DslSyntaxError, ResolveError, RhoError
+from .errors import (BadParameter, ConstraintViolation, DslSyntaxError,
+                     ResolveError, RhoError)
 from .geometry import (Atlas, Chart, TransitionMap, cartan_report,
                        chain_rule_check, cocycle_check, cotangent_bundle,
                        de_rham, jacobian, make_chart, schouten,
@@ -671,6 +672,9 @@ class Runner:
         if form == "super":
             # rho(g_a, g_a) = -1 on each generator of the group (default Z/2)
             group = s.group or GroupSpec(0, (2,))
+            if any(order % 2 for order in group.torsion_orders):
+                raise ConstraintViolation("super", None, "needs every torsion "
+                                          f"order even, not {group.describe()}")
             n = group.ngens
             half = [[Fraction(int(a == b), 2) for b in range(n)] for a in range(n)]
             fac = validate_factor(group, half)

@@ -2,14 +2,17 @@
 
 A matrix carries row/column degree tuples and a global degree; entry (k, l)
 must be homogeneous of degree rows[k] - cols[l] + degree.  The graded
-determinant is computed by the permutation expansion against auxiliary
+determinant is computed by the permutation expansion against implicit
 alternating variables; the graded Berezinian by the Schur complement.
 """
 
 from __future__ import annotations
 
-from .algebra import (Context, GradedPoly, Var, _bumped, _fresh, adjoin_eps,
-                      lift_poly, prime_context)
+from fractions import Fraction
+from functools import lru_cache
+
+from .algebra import Context, GradedPoly, adjoin_eps, lift_poly
+from .cyclo import Cyclo
 from .errors import (GradingViolation, MixedParity, NonzeroDegree,
                      NotInvertible, NotSplitTuple, ShapeMismatch,
                      TruncationRequired)
@@ -185,89 +188,94 @@ def rho_tr(f: GradedMatrix) -> GradedPoly:
 def _expand(start: GradedPoly, rows, cols, extend) -> GradedPoly:
     """Sum of the words of every bijection rows -> cols.
 
-    extend(word, r, c, odd) appends column c for row r; odd is the parity of
-    c's position among the free columns, so a bijection's parities sum to its
-    inversion count.  The walk is depth first in lexicographic order: each
-    prefix word is computed once and zero prefixes are pruned.  The leaf
-    words go to `Context.sum` in walk order, the left fold of the plain
-    permutation sum, so the result ends at that sum's conductors.
+    extend(word, r, c, used) appends column c for row r; used holds the
+    earlier rows' columns, and those greater than c are the inversions c
+    closes.  The walk is depth first in lexicographic order: each prefix
+    word is computed once and zero prefixes are pruned.  The leaf words go
+    to `Context.sum` in walk order, the left fold of the plain permutation
+    sum, so the result ends at that sum's conductors.
     """
-    def walk(word: GradedPoly, k: int, free: list):
+    def walk(word: GradedPoly, k: int, used: tuple):
         if k == len(rows):
             yield word
             return
-        for pos, col in enumerate(free):
-            nxt = extend(word, rows[k], col, pos & 1)
-            if not nxt.is_zero():
-                yield from walk(nxt, k + 1, free[:pos] + free[pos + 1:])
+        for col in cols:
+            if col not in used:
+                nxt = extend(word, rows[k], col, used)
+                if not nxt.is_zero():
+                    yield from walk(nxt, k + 1, used + (col,))
 
-    return start.ctx.sum(walk(start, 0, list(cols)))
+    return start.ctx.sum(walk(start, 0, ()))
+
+
+@lru_cache(maxsize=None)    # unlike zeta_n^(p+q), keeps both roots' conductors
+def _roots(p: int, q: int, n: int) -> Cyclo:
+    return Cyclo.from_phase(Fraction(p, n)) * Cyclo.from_phase(Fraction(q, n))
 
 
 def rho_det(f: GradedMatrix) -> GradedPoly:
     """Graded determinant of a degree-0 matrix with all-even or all-odd tuple.
 
-    Realized by expanding sum_sigma f_{1,s(1)} t_{s(1)} ... f_{n,s(n)} t_{s(n)}
-    against auxiliary alternating variables and reading off the coefficient of
-    t_1...t_n.  For an even tuple the t's are parity-shifted into the Z x G
-    factor (degree (1, i_k), odd there); for an odd tuple the t's carry degree
-    i_k in the same factor, where squares already vanish.  Both choices make
-    the expansion alternating, which is what the row-vanishing and product
-    rules require; the trivial factor then gives the classical determinant.
+    The coefficient of t_1...t_n in sum_sigma f_{1,s(1)} t_{s(1)} ...
+    f_{n,s(n)} t_{s(n)}, for alternating t's of degree (1, i_k) in the Z x G
+    factor (even tuple) or i_k in G (odd tuple), so that the row-vanishing
+    and product rules hold; the trivial factor gives the classical one.
 
-    `_expand` walks the permutations (the odd t's carry the sign), as it does
-    for inverse()'s Laurent determinant and cofactors.  Each step forms
-    word * f_kl and appends t_l by a shift, not a second product: t_l's slot
-    goes up by one, and a coefficient is multiplied by the root for moving
-    t_l left past the later t's when that root is not 1.  The O(n 2^n) row
-    product prod_k (sum_l f_kl t_l) regroups the sums, moving conductors and
-    printed text: it waits for a conductor-free scalar text.
+    The t's stay implicit, as integer phases at the t-factor's conductor N':
+    `_expand` walks the permutations in f's context, and each term pair of
+    word * f_kl costs one `mono_mul` and one product with the cached f_kl
+    term * zeta_N'^p * zeta_N'^q (p: the base phase plus the term past the
+    used t's; q: t_l past the later used t's), two roots that keep every
+    conductor.  The O(n 2^n) row product regroups the sums and would move
+    printed conductors.  The 0x0 matrix walks one empty word, 1.
     """
     ctx = f.ctx
     if f.rows != f.cols:
         raise ShapeMismatch("determinant of a non-square matrix")
     if not f.degree.is_zero():
         raise NonzeroDegree("graded determinant needs a degree-0 matrix")
-    n = f.nrows
-    if n == 0:
-        return ctx.one()
     kind = classify_tuple(ctx.factor, f.rows)
     if kind not in ("even", "odd"):
         raise MixedParity("degree tuple must be all even or all odd")
-    tbase = _fresh(ctx, "_t")
-    even = kind == "even"
-    tvars = [Var(f"{tbase}{k + 1}", ctx.factor.prime_degree(1, d) if even else d, ODD)
-             for k, d in enumerate(f.rows)]
-    aux = (prime_context if even else Context.extend)(
-        ctx, tvars, truncation=_bumped(ctx.truncation, n), name="det-aux")
-    lifted = [[lift_poly(e, aux) for e in row] for row in f.entries]
-    base_n, big_n, N, pair = ctx.nvars, aux.nvars, aux.conductor, aux._pair
+    fac, even = ctx.factor, kind == "even"
+    big_n = (fac.extend_prime() if even else fac).conductor
+    scale, half = big_n // ctx.conductor, (big_n // 2 if even else 0)
+    # phases at N' of t_a past t_l, past each variable and past each entry term
+    tt = [[half + scale * fac.phase_k(d, e) for e in f.rows] for d in f.rows]
+    tv = [[scale * fac.phase_k(d, v.degree) for v in ctx.variables] for d in f.rows]
+    terms = [[[(m, c, [sum(e * x for e, x in zip(m, row)) for row in tv])
+               for m, c in entry.terms.items()] for entry in ents] for ents in f.entries]
+    memo: dict = {}
 
-    def extend(word, k, l, odd):
-        col, out = base_n + l, {}
-        for mono, c in (word * lifted[k][l]).terms.items():
-            m = mono[:col] + (mono[col] + 1,) + mono[col + 1:]
-            if aux.mono_valid(m):
-                phase = sum(mono[a] * pair[a][col] for a in range(col + 1, big_n)) % N
-                out[m] = c * aux.root(phase) if phase else c
-        return GradedPoly(aux, out)
+    def extend(word, k, l, used):
+        q = sum(tt[a][l] for a in used if a > l) % big_n
+        row = [(j, m2, c2, sum(ph[a] for a in used))
+               for j, (m2, c2, ph) in enumerate(terms[k][l])]
+        out: dict = {}
+        for m1, c1 in word.terms.items():
+            for j, m2, c2, tp in row:
+                r = ctx.mono_mul(m1, m2)
+                if r is None:
+                    continue
+                p = (r[0] * scale + tp) % big_n
+                s = memo.get((k, l, j, p, q))
+                if s is None:
+                    s = memo[k, l, j, p, q] = c2 * _roots(p, q, big_n) if p or q else c2
+                c = c1 * s
+                s = out.get(r[1])
+                out[r[1]] = c if s is None else s + c
+        # drop zeros only now, as GradedPoly.__mul__ does
+        return GradedPoly._clean(ctx, {m: c for m, c in out.items() if not c.is_zero()})
 
-    total = _expand(aux.one(), range(n), range(n), extend)
-    # strip the t block: every surviving term carries each t exactly once
-    out = {}
-    for mono, c in total.terms.items():
-        if any(e != 1 for e in mono[base_n:]):
-            raise GradingViolation("internal: determinant expansion lost a t")
-        out[mono[:base_n]] = c
-    return GradedPoly(ctx, out)
+    return _expand(ctx.one(), range(f.nrows), range(f.nrows), extend)
 
 
 def _laurent_det(ctx: Context, grid, rows, cols) -> GradedPoly:
     # determinant of the rows x cols minor of a grid of mutually commuting
     # entries; the sign is a rational negation, so it moves no conductor
-    def extend(word, r, c, odd):
+    def extend(word, r, c, used):
         nxt = word * grid[r][c]
-        return -nxt if odd else nxt
+        return -nxt if sum(u > c for u in used) & 1 else nxt
     return _expand(ctx.one(), rows, cols, extend)
 
 
@@ -402,15 +410,18 @@ def rho_det_properties_check(f: GradedMatrix, g: GradedMatrix,
         ents[0] = list(entries_row)
         return GradedMatrix(m.ctx, m.rows, m.cols, m.degree, ents, check=False)
 
-    mixed = with_row(f, g.entries[0])
-    added = with_row(f, [a + b for a, b in zip(f.entries[0], g.entries[0])])
-    report["row_additive"] = (rho_det(added) == det_f + rho_det(mixed))
-    if isinstance(scale_by, GradedPoly):
-        scaled = with_row(f, [scale_by * e for e in f.entries[0]])
-        report["row_scaling"] = (rho_det(scaled) == scale_by * det_f)
+    if f.nrows == 0:    # no row to vary: the row rules hold vacuously
+        report.update(row_additive=True, row_scaling=True)
     else:
-        scaled = with_row(f, [e.scale(scale_by) for e in f.entries[0]])
-        report["row_scaling"] = (rho_det(scaled) == det_f.scale(scale_by))
+        mixed = with_row(f, g.entries[0])
+        added = with_row(f, [a + b for a, b in zip(f.entries[0], g.entries[0])])
+        report["row_additive"] = (rho_det(added) == det_f + rho_det(mixed))
+        if isinstance(scale_by, GradedPoly):
+            scaled = with_row(f, [scale_by * e for e in f.entries[0]])
+            report["row_scaling"] = (rho_det(scaled) == scale_by * det_f)
+        else:
+            scaled = with_row(f, [e.scale(scale_by) for e in f.entries[0]])
+            report["row_scaling"] = (rho_det(scaled) == det_f.scale(scale_by))
     report["repeated_row_zero"] = (f.nrows < 2
                                    or rho_det(with_row(f, f.entries[1])).is_zero())
     report["ok"] = all(report[k] for k in

@@ -48,6 +48,16 @@ def test_super_preset_on_a_larger_group():
         ("x", "(0,0)", "base"), ("xi", "(0,1)", "odd"), ("w", "(1,0)", "odd")]
 
 
+def test_super_preset_needs_even_torsion():
+    # the preset puts 1/2 on every generator, which a Z/3 generator cannot
+    # carry; the report names the preset, not a phase matrix never written
+    reports, ok = run_text("group Z/3; factor super;")
+    assert not ok
+    err = reports[1].result
+    assert err["error"] == "ConstraintViolation"
+    assert err["message"] == "super: needs every torsion order even, not Z/3"
+
+
 def test_parse_torus_phases():
     reports, ok = run_text("group Z^2; factor phases [[0,1/4],[-1/4,0]];")
     assert ok

@@ -278,6 +278,15 @@ def test_rho_det_identity_and_errors(sctx):
         rho_det(bad)
 
 
+def test_rho_det_properties_of_the_empty_matrix(sctx):
+    # rho_det of the 0x0 matrix is 1, and every property holds vacuously
+    z = GradedMatrix(sctx, (), (), sctx.factor.group.zero(), [])
+    assert rho_det(z) == sctx.one()
+    rep = rho_det_properties_check(z, z)
+    assert rep == {"multiplicative": True, "row_additive": True,
+                   "row_scaling": True, "repeated_row_zero": True, "ok": True}
+
+
 def test_rho_det_lemma_properties_super(sctx, rng):
     g = sctx.factor.group
     for case in ("even", "odd"):
@@ -699,16 +708,17 @@ def test_rho_ber_needs_no_series_for_the_even_block():
 _TORUS_SLOTS = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)]
 
 
-def _det_case(family, n, rng):
-    """A seeded degree-0 matrix of the det_ber benchmark's families, with
-    about one entry in five set to zero."""
+def _det_case(family, n, rng, truncation=None):
+    """A seeded degree-0 matrix of the det_ber benchmark's families (and
+    torusN for any theta 1/N), with about one entry in five set to zero."""
     if family.startswith("super"):
-        ctx = super_context()
+        ctx = super_context(truncation)
         g = ctx.factor.group
         degs = (g.zero() if family == "super-even" else g.degree(1),) * n
         ents = [list(row) for row in random_super_m0(ctx, rng, degs).entries]
     else:
-        ctx = _twisted_torus_context(Fraction(1, int(family[5:])))
+        plain = _twisted_torus_context(Fraction(1, int(family[5:])))
+        ctx = Context(plain.factor, plain.variables, truncation, name=family)
         g = ctx.factor.group
         degs = tuple(g.degree(*s) for s in _TORUS_SLOTS[:n])
         ents = [[_bucket_entry(ctx, rng, degs[k] - degs[l]) for l in range(n)]
@@ -734,6 +744,47 @@ def test_rho_det_prefix_walk_matches_the_permutation_sum(family):
             assert got.text() == want.text(), f.text()
             assert {m: c.n for m, c in got.terms.items()} == \
                 {m: c.n for m, c in want.terms.items()}, f.text()
+
+
+@pytest.mark.parametrize("family, truncations", [
+    ("super-even", (0, 1, 2)), ("super-odd", (0, 1, 2)), ("torus4", (1, 2)),
+    ("torus3", (None, 2)), ("torus5", (None, 2))])
+def test_rho_det_matches_the_permutation_sum_truncated_and_at_odd_conductors(
+        family, truncations):
+    # rho_det prunes at the truncation order T of the base context, while the
+    # permutation sum counts its t's against T + n; over theta 1/3 and 1/5 the
+    # t's of an even tuple carry phases at conductor 2N, not N
+    rng = random.Random(family)
+    for t in truncations:
+        for n in (1, 2, 3, 4):
+            for _ in range(3):
+                f = _det_case(family, n, rng, t)
+                assert_same_bytes(rho_det(f), permutation_rho_det(f))
+
+
+def test_rho_det_builds_no_context(monkeypatch, sctx, rng):
+    g = sctx.factor.group
+    cases = [random_super_m0(sctx, rng, (d,) * 3) for d in (g.zero(), g.degree(1))]
+    built = []
+    init = Context.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Context, "__init__", counting_init)
+    for f in cases:
+        rho_det(f)
+    assert built == []
+
+
+def test_rho_det_is_multiplicative_on_small_torus8_tuples():
+    # seeded pairs on the det_ber torus8 slots (0, e1) and (0, e1, e2)
+    rng = random.Random("torus8-product")
+    for n in (2, 3):
+        for _ in range(6):
+            x, y = _det_case("torus8", n, rng), _det_case("torus8", n, rng)
+            assert rho_det(x @ y) == rho_det(x) * rho_det(y), (x.text(), y.text())
 
 
 def test_rho_det_restarts_a_cancelled_coefficient(sctx):
