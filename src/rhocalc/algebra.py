@@ -288,26 +288,18 @@ def prime_context(ctx: Context, extra: Sequence[Var], truncation="keep",
     return Context(fac, vs, t, name or (ctx.name + "'"))
 
 
-def _fresh(ctx: Context, base: str) -> str:
-    # returned name is also safe as a prefix for numbered families
-    name = base
-    while any(v.name.startswith(name) for v in ctx.variables):
-        name += "_"
-    return name
-
-
-def _bumped(t: int | None, extra: int) -> int | None:
-    return None if t is None else t + extra
-
-
 def adjoin_eps(ctx: Context, degree: Degree) -> tuple[Context, "GradedPoly"]:
-    """ctx plus a fresh square-zero eps of the given degree, as (aux, eps).
+    """ctx plus a square-zero eps of the given degree, as (aux, eps), named
+    so that no variable of ctx starts with it (eps, else eps_, ...).
 
     The truncation order goes up by one, so eps times a term of the top
     order survives."""
-    name = _fresh(ctx, "eps")
+    name = "eps"
+    while any(v.name.startswith(name) for v in ctx.variables):
+        name += "_"
+    t = ctx.truncation
     aux = ctx.extend([Var(name, degree, ctx.factor.parity(degree), cap=1)],
-                     truncation=_bumped(ctx.truncation, 1), name=ctx.name + "+eps")
+                     truncation=None if t is None else t + 1, name=ctx.name + "+eps")
     return aux, aux.gen(name)
 
 

@@ -4,21 +4,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .dsl import run_session
 from .errors import DslSyntaxError, RhoError
-
-
-def _truncation(flag: str | None) -> int:
-    """--trunc, else RHOCALC_TRUNC (unset or empty: 8); ValueError unless
-    it is a nonnegative integer (or past int()'s digit limit)."""
-    source, raw = ("--trunc", flag) if flag is not None else (
-        "RHOCALC_TRUNC", os.environ.get("RHOCALC_TRUNC") or "8")
-    if not (raw.isascii() and raw.isdigit()):
-        raise ValueError(f"{source} must be a nonnegative integer, not {raw!r}")
-    return int(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -29,8 +18,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("session", help="path to a .rc session file")
     runp.add_argument("--json", action="store_true", dest="as_json",
                       help="emit one JSON document instead of text")
-    runp.add_argument("--trunc", default=None, metavar="N",
-                      help="truncation order (default: RHOCALC_TRUNC or 8)")
     return p
 
 
@@ -46,18 +33,13 @@ def _human(reports) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        trunc = _truncation(args.trunc)
-    except ValueError as e:
-        print(f"rhocalc: {e}", file=sys.stderr)
-        return 2
-    try:
         with open(args.session, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         print(f"rhocalc: cannot read {args.session}: {e}", file=sys.stderr)
         return 2
     try:
-        reports, ok = run_session(text, trunc)
+        reports, ok = run_session(text)
         if args.as_json:
             doc = {"schema": 1, "reports": [r.payload() for r in reports]}
             out = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"

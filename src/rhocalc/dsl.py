@@ -17,17 +17,17 @@ from fractions import Fraction
 from .algebra import Context, GradedPoly, rho_commutator
 from .cyclo import Cyclo
 from .derivation import Derivation, commutator, is_homological
-from .errors import (BadParameter, ConstraintViolation, DslSyntaxError,
-                     ResolveError, RhoError)
+from .errors import BadParameter, DslSyntaxError, ResolveError, RhoError
 from .geometry import (Atlas, Chart, TransitionMap, cartan_report,
                        chain_rule_check, cocycle_check, cotangent_bundle,
                        de_rham, jacobian, make_chart, schouten,
                        shifted_cotangent, tangent_bundle)
-from .grading import (CommutationFactor, Degree, GroupSpec, torus_factor,
-                      trivial_factor, validate_factor)
+from .grading import (CommutationFactor, Degree, GroupSpec, super_factor,
+                      torus_factor, trivial_factor, validate_factor)
 from .matrix import GradedMatrix, rho_ber, rho_det, rho_tr
 from .scenarios import SCENARIOS, builtin_scenarios
-from .volume import VolumeForm, divergence, modular_class, volumes_equivalent
+from .volume import (DEGREE_BOUND, VolumeForm, divergence, modular_class,
+                     volumes_equivalent)
 
 COMMANDS = {"normalize", "commutator", "det", "ber", "trace", "qcheck",
             "cartan", "schouten", "jacobian", "cocycle", "divergence",
@@ -555,7 +555,7 @@ class Report:
 
 @dataclass
 class Session:
-    truncation: int | None = 8
+    truncation: int | None = 8      # the default; only `trunc N;` changes it
     group: GroupSpec | None = None
     factor: CommutationFactor | None = None
     charts: dict[str, Chart] = field(default_factory=dict)
@@ -631,8 +631,8 @@ def _components(ctx: Context, comps: dict) -> dict:
 
 
 class Runner:
-    def __init__(self, truncation: int | None = 8):
-        self.session = Session(truncation=truncation)
+    def __init__(self):
+        self.session = Session()
         self.reports: list[Report] = []
         self.failed = False
 
@@ -670,14 +670,7 @@ class Runner:
         s = self.session
         form = st["form"]
         if form == "super":
-            # rho(g_a, g_a) = -1 on each generator of the group (default Z/2)
-            group = s.group or GroupSpec(0, (2,))
-            if any(order % 2 for order in group.torsion_orders):
-                raise ConstraintViolation("super", None, "needs every torsion "
-                                          f"order even, not {group.describe()}")
-            n = group.ngens
-            half = [[Fraction(int(a == b), 2) for b in range(n)] for a in range(n)]
-            fac = validate_factor(group, half)
+            fac = super_factor(s.group)
         elif form == "trivial":
             fac = trivial_factor(s.group)
         elif form == "torus":
@@ -891,7 +884,7 @@ class Runner:
         s = self.session
         q = s.lookup("derivations", st["q"])
         vol = s.lookup("volumes", st["vol"])
-        bound = st["bound"] if st["bound"] is not None else 8
+        bound = DEGREE_BOUND if st["bound"] is None else st["bound"]
         return modular_class(q, vol, bound).payload()
 
     def exec_equivalent(self, st):
@@ -922,9 +915,9 @@ class Runner:
         return SCENARIOS[which](**params)[0]
 
 
-def run_session(text: str, truncation: int | None = 8):
+def run_session(text: str):
     """Parse and execute; returns (reports, exit_ok)."""
     statements = parse_session(text)
-    runner = Runner(truncation)
+    runner = Runner()
     reports = runner.run(statements)
     return reports, not runner.failed

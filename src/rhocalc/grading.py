@@ -12,7 +12,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .cyclo import Cyclo
 from .errors import ConstraintViolation
@@ -202,19 +201,21 @@ def validate_factor(group: GroupSpec, phases) -> CommutationFactor:
     return CommutationFactor(group, phases)
 
 
-@lru_cache(maxsize=None)
-def _preset_group(kind: str) -> GroupSpec:
-    return {"super": GroupSpec(0, (2,)), "trivial_z": GroupSpec(1)}[kind]
-
-
-def super_factor() -> CommutationFactor:
-    """G = Z/2 with rho(i,j) = (-1)^(ij)."""
-    return CommutationFactor(_preset_group("super"), [[Fraction(1, 2)]])
+def super_factor(group: GroupSpec | None = None) -> CommutationFactor:
+    """rho(g_a, g_a) = -1 on each generator of the group (default Z/2), whose
+    torsion orders must all be even; Z/2 gives rho(i,j) = (-1)^(ij)."""
+    group = GroupSpec(0, (2,)) if group is None else group
+    if any(order % 2 for order in group.torsion_orders):
+        raise ConstraintViolation("super", None, "needs every torsion "
+                                  f"order even, not {group.describe()}")
+    n = group.ngens
+    return CommutationFactor(group, [[Fraction(int(a == b), 2) for b in range(n)]
+                                     for a in range(n)])
 
 
 def trivial_factor(group: GroupSpec | None = None) -> CommutationFactor:
     """rho identically 1 on the given group (default Z)."""
-    group = group or _preset_group("trivial_z")
+    group = GroupSpec(1) if group is None else group
     n = group.ngens
     return CommutationFactor(group, [[Fraction(0)] * n for _ in range(n)])
 

@@ -13,9 +13,7 @@ from .algebra import lift_poly
 from .derivation import Derivation
 from .geometry import de_rham, lift_to_shifted_cotangent, make_chart
 from .grading import GroupSpec, super_factor, torus_factor, trivial_factor
-from .volume import (VolumeForm, divergence, modular_class, volumes_equivalent)
-
-DEGREE_BOUND = 6    # the exactness search bound of every scenario's class
+from .volume import VolumeForm, divergence, modular_class, volumes_equivalent
 
 
 def torus_scenario(m: int = 2, theta12=Fraction(1, 4)):
@@ -42,7 +40,7 @@ def torus_scenario(m: int = 2, theta12=Fraction(1, 4)):
             -1, [("tau", 1), (f"eta{a + 1}", 1), (f"u{a + 1}", 1)])
     q = Derivation(ctx, fac.prime_degree(1, zero_g), comps, "Q")
     vol = VolumeForm.on_chart(chart, ctx.one())
-    report = modular_class(q, vol, DEGREE_BOUND)
+    report = modular_class(q, vol)
     expected = ctx.sum(ctx.word(-1, [("tau", 1), (f"eta{a + 1}", 1)])
                        for a in range(m))
     payload = {
@@ -67,7 +65,7 @@ def derham_scenario():
     dr = de_rham(base)
     q = dr.differential
     vol = VolumeForm.on_chart(dr.chart, dr.chart.ctx.one())
-    report = modular_class(q, vol, DEGREE_BOUND)
+    report = modular_class(q, vol)
     payload = {
         "scenario": "derham",
         "params": {"base": "one even and one odd coordinate"},
@@ -96,8 +94,8 @@ def cstar_scenario():
     q = dr.differential
     vol1 = VolumeForm.on_chart(dr.chart, ctx.one())
     vol2 = VolumeForm.on_chart(dr.chart, ctx.gen("z"))
-    rep1 = modular_class(q, vol1, DEGREE_BOUND)
-    rep2 = modular_class(q, vol2, DEGREE_BOUND)
+    rep1 = modular_class(q, vol1)
+    rep2 = modular_class(q, vol2)
     equivalent, _ = volumes_equivalent(vol1, vol2)
     expected2 = ctx.monomial(1, {"z": -1, "dz": 1})
     payload = {
@@ -139,7 +137,7 @@ def shifted_cotangent_scenario():
         else:
             density = lift_poly(base_vol.density(dr.chart.name), big) ** 2
         vol = VolumeForm.on_chart(sc.chart, density)
-        report = modular_class(qt, vol, DEGREE_BOUND)
+        report = modular_class(qt, vol)
         expected = lift_poly(base_div, big).scale(1 - rho_ii.as_fraction())
         out[label] = {
             "shift": shift.text(),

@@ -132,7 +132,11 @@ class ExactnessResult:
                 "searched_monomials": self.searched}
 
 
-def exactness_solve(c: GradedPoly, q: Derivation, degree_bound: int = 8,
+DEGREE_BOUND = 8    # default l1 exponent bound of the bounded-span fallback
+
+
+def exactness_solve(c: GradedPoly, q: Derivation,
+                    degree_bound: int = DEGREE_BOUND,
                     closure_cap: int = 600) -> ExactnessResult:
     """Decide whether c = Q(h) has a polynomial solution.
 
@@ -290,7 +294,8 @@ class ModularClassReport:
         }
 
 
-def modular_class(q, vol: VolumeForm, degree_bound: int = 8) -> ModularClassReport:
+def modular_class(q, vol: VolumeForm,
+                  degree_bound: int = DEGREE_BOUND) -> ModularClassReport:
     """Divergence class of a homological field on the first chart by name:
     representative, closedness witness, and the exactness verdict from the
     bounded solver (whose closedness check decides `closed`)."""

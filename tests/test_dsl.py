@@ -20,8 +20,8 @@ from rhocalc.errors import DslSyntaxError
 from conftest import random_poly, super_context, torus_context
 
 
-def run_text(text, trunc=8):
-    return run_session(text, trunc)
+def run_text(text):
+    return run_session(text)
 
 
 def test_parse_super_preset():
@@ -306,6 +306,9 @@ def test_one_way_cotangent_bundle_is_a_failed_declaration(tmp_path):
 
 
 def test_trunc_statement_and_env(tmp_path):
+    # the session's `trunc` statement is the one setter of the order: the
+    # CLI reads no environment variable, so RHOCALC_TRUNC (once a second
+    # setter) leaves the default 8 in place
     session = tmp_path / "t.rc"
     session.write_text("group Z/2; factor super; trunc 3;\n"
                        "chart U { formal xi deg (1); }\n", encoding="utf-8")
@@ -313,7 +316,7 @@ def test_trunc_statement_and_env(tmp_path):
                    RHOCALC_TRUNC="5")
     assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
-    assert doc["reports"][0]["diagnostics"]["truncation"] == 5
+    assert doc["reports"][0]["diagnostics"]["truncation"] == 8
     assert doc["reports"][-1]["diagnostics"]["truncation"] == 3
 
 
@@ -462,28 +465,34 @@ def test_cli_long_and_deep_expressions_without_traceback(tmp_path, capsys,
         assert "expected at most 100 nested parentheses" in err
 
 
-@pytest.mark.parametrize("args, env, message", [
-    pytest.param(["--trunc", "-1"], {},
-                 "--trunc must be a nonnegative integer, not '-1'", id="flag-negative"),
-    pytest.param(["--trunc", "abc"], {},
-                 "--trunc must be a nonnegative integer, not 'abc'", id="flag-text"),
-    pytest.param([], {"RHOCALC_TRUNC": "-1"},
-                 "RHOCALC_TRUNC must be a nonnegative integer, not '-1'",
-                 id="env-negative"),
-    pytest.param([], {"RHOCALC_TRUNC": "abc"},
-                 "RHOCALC_TRUNC must be a nonnegative integer, not 'abc'",
-                 id="env-text"),
+@pytest.mark.parametrize("args, env", [
+    pytest.param(["--trunc", "6"], {}, id="flag-valid"),
+    pytest.param(["--trunc", "-1"], {}, id="flag-negative"),
+    pytest.param(["--trunc", "abc"], {}, id="flag-text"),
+    pytest.param([], {"RHOCALC_TRUNC": "-1"}, id="env-negative"),
+    pytest.param([], {"RHOCALC_TRUNC": "abc"}, id="env-text"),
 ])
-def test_cli_rejects_a_bad_truncation(tmp_path, args, env, message):
+def test_cli_rejects_a_bad_truncation(tmp_path, args, env):
     # a negative order used to truncate (1 + x*xi)*(1 + xi) to 0, and a
-    # non-integer RHOCALC_TRUNC quietly became 8
+    # non-integer RHOCALC_TRUNC quietly became 8. The order is now set by
+    # the session's `trunc` statement only: --trunc is no option, so argparse
+    # rejects it before anything runs, and RHOCALC_TRUNC is not read, so the
+    # run prints exactly what it prints without the variable
     session = tmp_path / "t.rc"
     session.write_text(_U + "normalize (1 + x*xi)*(1 + xi) on U;\n",
                        encoding="utf-8")
     out = _run_cli(["run", str(session), *args], cwd=tmp_path, **env)
-    assert out.returncode == 2
-    assert out.stdout == ""
-    assert out.stderr == f"rhocalc: {message}\n"
+    assert "Traceback" not in out.stderr
+    if args:
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.startswith("usage: rhocalc")
+        assert "unrecognized arguments: --trunc" in out.stderr
+    else:
+        clean = _run_cli(["run", str(session)], cwd=tmp_path)
+        assert (out.returncode, out.stdout, out.stderr) == (
+            0, clean.stdout, "")
+        assert clean.returncode == 0 and clean.stdout
 
 
 def test_cli_undecodable_file_cannot_be_read(tmp_path):

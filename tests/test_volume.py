@@ -194,7 +194,8 @@ def test_exactness_inconclusive_when_closure_blows_up():
     assert "stopped_by" not in res.payload()
     # at the default cap the closure runs out of rounds first
     assert exactness_solve(c, q, degree_bound=3).stopped_by == "rounds"
-    # the same differential still certifies honest exact cases via the span
+    # the same differential still certifies honest exact cases: the
+    # 39-monomial partial closure at the cap already holds a preimage of Q(z)
     c2 = q.apply(ctx.gen("z"))
     res2 = exactness_solve(c2, q, degree_bound=3, closure_cap=40)
     assert res2.verdict == "exact"
@@ -207,6 +208,19 @@ def _line_form_blowup():
     comp = ctx.gen("dz") + ctx.monomial(1, {"z": 2, "dz": 1})
     q = Derivation(ctx, ctx.factor.group.degree(1), {ctx.index("z"): comp}, "Q")
     return ctx, q
+
+
+def test_exactness_certifies_through_the_bounded_span(monkeypatch):
+    # at closure_cap=1 the closure is cut before it keeps a monomial, so
+    # only the degree-bounded span (17 monomials at the default bound) can
+    # find the preimage z of Q(z)
+    ctx, q = _line_form_blowup()
+    c = q.apply(ctx.gen("z"))
+    res = exactness_solve(c, q, closure_cap=1)
+    assert (res.verdict, res.certificate, res.searched) == ("exact", ctx.gen("z"), 17)
+    monkeypatch.setattr(volume, "_bounded_span", lambda *args: [])
+    res = exactness_solve(c, q, closure_cap=1)
+    assert (res.verdict, res.stopped_by) == ("inconclusive", "closure_cap")
 
 
 def test_exactness_applies_q_once_per_monomial(monkeypatch):
