@@ -89,7 +89,6 @@ class Context:
                          math.inf if v.cap is None else v.cap)
                         for i, v in enumerate(self.variables)
                         if not v.invertible or v.cap is not None]
-        self._roots: list[Cyclo | None] = [None] * factor.conductor
         self._degree_cache: dict[tuple[int, ...], object] = {}
 
     # -- lookups -------------------------------------------------------------
@@ -112,25 +111,6 @@ class Context:
     @property
     def conductor(self) -> int:
         return self.factor.conductor
-
-    def root(self, k: int) -> Cyclo:
-        """zeta_N^k for the conductor N and 0 <= k < N, built once per k."""
-        hit = self._roots[k]
-        if hit is None:
-            hit = self._roots[k] = Cyclo.from_phase(Fraction(k, self.conductor))
-        return hit
-
-    def zeta(self, phase: Fraction) -> Cyclo:
-        """exp(2 pi i phase) for a phase that is a multiple of 1/N."""
-        k = phase * self.conductor
-        if k.denominator != 1:
-            raise ConstraintViolation("phase", None,
-                                      f"{phase} is not a multiple of 1/{self.conductor}")
-        return self.root(int(k) % self.conductor)
-
-    def rho(self, i: Degree, j: Degree) -> Cyclo:
-        """rho(i, j) = zeta_N^k straight from the factor's integer phase."""
-        return self.root(self.factor.phase_k(i, j))
 
     # -- monomial helpers ------------------------------------------------------
 
@@ -159,14 +139,6 @@ class Context:
                 return False
         return self.truncation is None or self.i_order(mono) <= self.truncation
 
-    def check_mono(self, mono: tuple[int, ...]) -> bool:
-        """`mono_valid`, but a negative power on a non-Laurent variable
-        raises NegativePower."""
-        for e, v in zip(mono, self.variables):
-            if e < 0 and not v.invertible:
-                raise NegativePower(v.name)
-        return self.mono_valid(mono)
-
     def series_bound(self, slack: int = 0) -> int:
         """Highest power of a formal-ideal element a series may need.
 
@@ -183,8 +155,8 @@ class Context:
         """Product of two normal-ordered monomials.
 
         Returns (k, monomial) with the rho reordering factor zeta_N^k (see
-        `root`), or None when the product is annihilated (odd square, cap
-        overflow, or truncation).
+        `CommutationFactor.root`), or None when the product is annihilated
+        (odd square, cap overflow, or truncation).
         """
         phase = 0
         pair = self._pair
@@ -226,7 +198,10 @@ class Context:
         for name, e in exps.items():
             mono[self.index(name)] += e
         mono = tuple(mono)
-        if not self.check_mono(mono):
+        for e, v in zip(mono, self.variables):
+            if e < 0 and not v.invertible:
+                raise NegativePower(v.name)
+        if not self.mono_valid(mono):
             return self.zero()
         if not isinstance(coef, Cyclo):
             coef = Cyclo.rational(coef)
@@ -445,6 +420,7 @@ class GradedPoly:
             return self.scale(other)
         self._need_same(other)
         ctx = self.ctx
+        root = ctx.factor.root
         out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -454,7 +430,7 @@ class GradedPoly:
                 phase, mono = r
                 c = c1 * c2
                 if phase:
-                    c = c * ctx.root(phase)
+                    c = c * root(phase)
                 s = out.get(mono)
                 out[mono] = c if s is None else s + c
         # drop zeros only now: a sum through zero keeps its conductor
@@ -570,7 +546,7 @@ def rho_commutator(f: GradedPoly, g: GradedPoly) -> GradedPoly:
     if f.ctx != g.ctx:
         raise ContextMismatch("commutator operands")
     df, dg = f.degree_of(), g.degree_of()
-    rho = f.ctx.rho(df, dg)
+    rho = f.ctx.factor.rho(df, dg)
     return f * g - (g * f).scale(rho)
 
 

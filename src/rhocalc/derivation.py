@@ -76,6 +76,7 @@ class Derivation:
         if f.ctx != self.ctx:
             raise ContextMismatch("derivation applied across contexts")
         ctx = self.ctx
+        root = ctx.factor.root
         # terms, not a Context.sum: that would build a polynomial per term
         out: dict = {}
         for mono, coef in f.terms.items():
@@ -83,7 +84,7 @@ class Derivation:
             for a, e in enumerate(mono):
                 comp = self.components.get(a) if e else None
                 if comp is not None:
-                    c = coef * ctx.root(k) if k else coef
+                    c = coef * root(k) if k else coef
                     pre = mono[:a] + (0,) * (ctx.nvars - a)
                     suf = (0,) * (a + 1) + mono[a + 1:]
                     block = self._blocks.get((a, e))
@@ -106,7 +107,7 @@ class Derivation:
         if r2 is not None:
             for k in (r1[0], r2[0]):
                 if k:
-                    c = c * ctx.root(k)
+                    c = c * ctx.factor.root(k)
             return r2[1], c
 
     def _power_derivative(self, a: int, e: int, comp: GradedPoly) -> dict:
@@ -125,7 +126,7 @@ class Derivation:
         for j in range(e):  # sum_j rho(X, x_a)^j x_a^j X^a x_a^(e-1-j)
             w = self._row[a] * j % ctx.conductor
             for m, c in comp.terms.items():
-                hit = self._sandwich(power(j), m, ctx.root(w) * c if w else c,
+                hit = self._sandwich(power(j), m, ctx.factor.root(w) * c if w else c,
                                      power(e - 1 - j))
                 if hit is not None:
                     add_term(block, *hit)
@@ -184,7 +185,7 @@ def commutator(x: Derivation, y: Derivation) -> Derivation:
     if x.ctx != y.ctx:
         raise ContextMismatch("commutator of derivations")
     ctx = x.ctx
-    rho = ctx.rho(x.degree, y.degree)
+    rho = ctx.factor.rho(x.degree, y.degree)
     comps = {a: x.apply(y.component(a)) - y.apply(x.component(a)).scale(rho)
              for a in range(ctx.nvars)}
     return Derivation(ctx, x.degree + y.degree, comps,

@@ -59,6 +59,8 @@ class TransitionMap:
                                            compare=False)
 
     def __post_init__(self):
+        if self.source.ctx.factor != self.target.ctx.factor:
+            raise ContextMismatch("charts over different commutation factors")
         tv = self.target.ctx.variables
         if set(self.images) != set(range(len(tv))):
             raise ShapeMismatch("every target coordinate needs an image")
@@ -222,7 +224,7 @@ def frame_to_coordinate_matrix(jac: GradedMatrix) -> GradedMatrix:
     for a, ia in enumerate(jac.rows):
         row = []
         for b, ib in enumerate(jac.cols):
-            w = jac.ctx.rho(ib, ia - ib)
+            w = jac.ctx.factor.rho(ib, ia - ib)
             row.append(jac.entries[a][b].scale(w))
         ents.append(row)
     return GradedMatrix(jac.ctx, jac.rows, jac.cols, jac.degree, ents,
@@ -470,9 +472,9 @@ def schouten(sc: ShiftedCotangent, f: GradedPoly, g: GradedPoly) -> GradedPoly:
         for a, sa in sc.star.items():
             da = sc.base.ctx.variables[a].degree
             if not fd[sa].is_zero() and not gd[a].is_zero():
-                yield (fd[sa] * gd[a]).scale(ctx.rho(df + da + i, da + i))
+                yield (fd[sa] * gd[a]).scale(ctx.factor.rho(df + da + i, da + i))
             if not fd[a].is_zero() and not gd[sa].is_zero():
-                yield -(fd[a] * gd[sa]).scale(ctx.rho(da, df + i))
+                yield -(fd[a] * gd[sa]).scale(ctx.factor.rho(da, df + i))
     return ctx.sum(summands())
 
 

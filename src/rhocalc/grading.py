@@ -112,7 +112,7 @@ class Degree:
 class CommutationFactor:
     """A bicharacter G x G -> roots of unity given by a rational phase matrix."""
 
-    __slots__ = ("group", "phases", "conductor", "_k", "_prime")
+    __slots__ = ("group", "phases", "conductor", "_k", "_prime", "_roots")
 
     def __init__(self, group: GroupSpec, phases):
         rows = tuple(tuple(Fraction(x) for x in row) for row in phases)
@@ -141,6 +141,7 @@ class CommutationFactor:
         self.conductor = den
         self._k = tuple(tuple(int(x * den) for x in row) for row in rows)
         self._prime = None
+        self._roots: dict[int, Cyclo] = {}
 
     # -- evaluation ----------------------------------------------------------
 
@@ -153,8 +154,15 @@ class CommutationFactor:
         """The rational phase of rho(i, j), reduced mod 1."""
         return Fraction(self.phase_k(i, j), self.conductor)
 
+    def root(self, k: int) -> Cyclo:
+        """zeta_N^k for the conductor N and 0 <= k < N, built once per k."""
+        hit = self._roots.get(k)
+        if hit is None:
+            hit = self._roots[k] = Cyclo.from_phase(Fraction(k, self.conductor))
+        return hit
+
     def rho(self, i: Degree, j: Degree) -> Cyclo:
-        return Cyclo.from_phase(self.phase(i, j))
+        return self.root(self.phase_k(i, j))
 
     def parity(self, i: Degree) -> str:
         """EVEN if rho(i,i) = +1, ODD if -1."""

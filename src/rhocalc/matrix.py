@@ -8,11 +8,7 @@ alternating variables; the graded Berezinian by the Schur complement.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-
 from .algebra import Context, GradedPoly, adjoin_eps, lift_poly
-from .cyclo import Cyclo
 from .errors import (GradingViolation, MixedParity, NonzeroDegree,
                      NotInvertible, NotSplitTuple, ShapeMismatch,
                      TruncationRequired)
@@ -141,7 +137,7 @@ def left_act(g: GradedPoly, f: GradedMatrix) -> GradedMatrix:
     dg = g.degree_of()
     ents = []
     for k, i in enumerate(f.rows):
-        w = f.ctx.rho(i, dg)
+        w = f.ctx.factor.rho(i, dg)
         ents.append([(g * e).scale(w) for e in f.entries[k]])
     return GradedMatrix(f.ctx, f.rows, f.cols, f.degree + dg, ents)
 
@@ -149,7 +145,7 @@ def left_act(g: GradedPoly, f: GradedMatrix) -> GradedMatrix:
 def right_act(f: GradedMatrix, g: GradedPoly) -> GradedMatrix:
     """(F g)_{kl} = rho(j_l, |g|) f_{kl} g."""
     dg = g.degree_of()
-    weights = [f.ctx.rho(j, dg) for j in f.cols]
+    weights = [f.ctx.factor.rho(j, dg) for j in f.cols]
     ents = [[(e * g).scale(weights[l]) for l, e in enumerate(row)]
             for row in f.entries]
     return GradedMatrix(f.ctx, f.rows, f.cols, f.degree + dg, ents)
@@ -161,7 +157,7 @@ def transpose(f: GradedMatrix) -> GradedMatrix:
     for l, j in enumerate(f.cols):
         row = []
         for k, i in enumerate(f.rows):
-            w = f.ctx.rho(i, j - i)
+            w = f.ctx.factor.rho(i, j - i)
             row.append(f.entries[k][l].scale(w))
         ents.append(row)
     return GradedMatrix(f.ctx, tuple(-j for j in f.cols),
@@ -170,7 +166,7 @@ def transpose(f: GradedMatrix) -> GradedMatrix:
 
 def matrix_commutator(f: GradedMatrix, g: GradedMatrix) -> GradedMatrix:
     """F G - rho(|F|, |G|) G F in the square matrix algebra."""
-    w = f.ctx.rho(f.degree, g.degree)
+    w = f.ctx.factor.rho(f.degree, g.degree)
     prod2 = g @ f
     twisted = GradedMatrix(prod2.ctx, prod2.rows, prod2.cols, prod2.degree,
                            prod2.map_entries(lambda e: e.scale(-w)), check=False)
@@ -181,7 +177,7 @@ def rho_tr(f: GradedMatrix) -> GradedPoly:
     """Weighted trace sum rho(i_k + |F|, i_k) f_kk."""
     if f.nrows != f.ncols:
         raise ShapeMismatch("trace of a non-square matrix")
-    return f.ctx.sum(f.entries[k][k].scale(f.ctx.rho(i + f.degree, i))
+    return f.ctx.sum(f.entries[k][k].scale(f.ctx.factor.rho(i + f.degree, i))
                      for k, i in enumerate(f.rows))
 
 
@@ -206,11 +202,6 @@ def _expand(start: GradedPoly, rows, cols, extend) -> GradedPoly:
                     yield from walk(nxt, k + 1, used + (col,))
 
     return start.ctx.sum(walk(start, 0, ()))
-
-
-@lru_cache(maxsize=None)    # unlike zeta_n^(p+q), keeps both roots' conductors
-def _roots(p: int, q: int, n: int) -> Cyclo:
-    return Cyclo.from_phase(Fraction(p, n)) * Cyclo.from_phase(Fraction(q, n))
 
 
 def rho_det(f: GradedMatrix) -> GradedPoly:
@@ -238,7 +229,8 @@ def rho_det(f: GradedMatrix) -> GradedPoly:
     if kind not in ("even", "odd"):
         raise MixedParity("degree tuple must be all even or all odd")
     fac, even = ctx.factor, kind == "even"
-    big_n = (fac.extend_prime() if even else fac).conductor
+    tfac = fac.extend_prime() if even else fac
+    big_n = tfac.conductor
     scale, half = big_n // ctx.conductor, (big_n // 2 if even else 0)
     # phases at N' of t_a past t_l, past each variable and past each entry term
     tt = [[half + scale * fac.phase_k(d, e) for e in f.rows] for d in f.rows]
@@ -246,6 +238,7 @@ def rho_det(f: GradedMatrix) -> GradedPoly:
     terms = [[[(m, c, [sum(e * x for e, x in zip(m, row)) for row in tv])
                for m, c in entry.terms.items()] for entry in ents] for ents in f.entries]
     memo: dict = {}
+    pairs: dict = {}    # unlike zeta_N'^(p+q), keeps both roots' conductors
 
     def extend(word, k, l, used):
         q = sum(tt[a][l] for a in used if a > l) % big_n
@@ -260,7 +253,9 @@ def rho_det(f: GradedMatrix) -> GradedPoly:
                 p = (r[0] * scale + tp) % big_n
                 s = memo.get((k, l, j, p, q))
                 if s is None:
-                    s = memo[k, l, j, p, q] = c2 * _roots(p, q, big_n) if p or q else c2
+                    if (p, q) not in pairs:
+                        pairs[p, q] = tfac.root(p) * tfac.root(q)
+                    s = memo[k, l, j, p, q] = c2 * pairs[p, q] if p or q else c2
                 c = c1 * s
                 s = out.get(r[1])
                 out[r[1]] = c if s is None else s + c

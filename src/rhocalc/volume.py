@@ -79,7 +79,7 @@ def _weighted_partials(x: Derivation, s: GradedPoly,
             term = partial(ctx, v.name).apply(comp * s)
             if s_inv is not None:
                 term = s_inv * term
-            yield term.scale(ctx.rho(v.degree, v.degree + x.degree))
+            yield term.scale(ctx.factor.rho(v.degree, v.degree + x.degree))
     return x.ctx.sum(summands(x.ctx))
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from rhocalc.algebra import Context, GradedPoly, Var, lift_poly, poly_text, \
-    prime_context, rho_commutator, restrict_poly, substitute
+from rhocalc.algebra import Context, GradedPoly, Var, adjoin_eps, lift_poly, \
+    poly_text, prime_context, rho_commutator, restrict_poly, substitute
 from rhocalc.cyclo import Cyclo
 from rhocalc.derivation import partial
 from rhocalc.errors import (ConstraintViolation, ContextMismatch, NegativePower,
@@ -72,7 +72,7 @@ def test_normal_form_confluence(rng):
             va, vb = ctx.var(letters[k][0]), ctx.var(letters[k + 1][0])
             phase = ctx.factor.phase(va.degree * letters[k][1],
                                      vb.degree * letters[k + 1][1])
-            assert base == ctx.word(ctx.zeta(phase), swapped)
+            assert base == ctx.word(Cyclo.from_phase(phase), swapped)
 
 
 def test_mul_unit_and_rho_commutativity(rng):
@@ -332,16 +332,18 @@ def test_mono_mul_phase_is_an_integer_mod_the_conductor(rng):
                 for b, vb in enumerate(ctx.variables[:a]):
                     acc += m1[a] * m2[b] * ctx.factor.phase(va.degree, vb.degree)
             assert r[0] == (acc % 1) * n, (ctx, m1, m2)
-            assert ctx.root(r[0]) == ctx.zeta(acc)
+            assert ctx.factor.root(r[0]) == Cyclo.from_phase(acc)
         assert kept > 100
 
 
-def test_zeta_rejects_a_phase_outside_the_conductor():
-    ctx = torus_context()       # conductor 4
-    assert ctx.zeta(Fraction(-1, 4)) == Cyclo.root_of_unity(4, 3)
-    assert ctx.zeta(Fraction(5, 2)) == Cyclo.rational(-1)
-    with pytest.raises(ConstraintViolation):
-        ctx.zeta(Fraction(1, 8))
+def test_extended_contexts_read_one_root_table():
+    # the roots live on the factor, which ctx.extend and adjoin_eps share
+    ctx = torus8_context()
+    g = ctx.factor.group
+    big = ctx.extend([Var("w", g.zero(), "even")])
+    aux, _ = adjoin_eps(ctx, g.generator(0))
+    for k in range(ctx.conductor):
+        assert big.factor.root(k) is ctx.factor.root(k) is aux.factor.root(k)
 
 
 def _trusted_results(ctx, rng):
@@ -349,7 +351,7 @@ def _trusted_results(ctx, rng):
     with cancellations and truncation forced in."""
     out = []
     for _ in range(10):
-        f = random_poly(ctx, rng).scale(ctx.root(rng.randrange(ctx.conductor)))
+        f = random_poly(ctx, rng).scale(ctx.factor.root(rng.randrange(ctx.conductor)))
         g = random_poly(ctx, rng, terms=4)
         x = random_derivation(ctx, rng)
         out += [f + g, f - g, f - f, g + (-g), f * g, g * f, (f + g) * (f - g),

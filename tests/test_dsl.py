@@ -305,6 +305,28 @@ def test_one_way_cotangent_bundle_is_a_failed_declaration(tmp_path):
     assert "V to U" in last["result"]["message"]
 
 
+def test_transition_across_commutation_factors_is_a_failed_declaration(
+        tmp_path, capsys):
+    # xi squares to 0 over the super factor, eta^2 does not over the trivial
+    # one, so eta = xi is no algebra morphism, though the cocycle holds
+    path = tmp_path / "mixed.rc"
+    path.write_text("group Z/2; factor super;\n"
+                    "chart U { base x invertible; formal xi deg (1); }\n"
+                    "factor trivial;\n"
+                    "chart V { base y invertible; formal eta deg (1); }\n"
+                    "transition t: U -> V { y = 2*x; eta = xi; }\n"
+                    "transition s: V -> U { x = 1/2*y; xi = eta; }\n"
+                    "bundle B = tangent(U, V);\ncocycle B;\n", encoding="utf-8")
+    assert cli.main(["run", str(path), "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err and err == ""
+    reports = json.loads(out)["reports"]
+    assert [r["ok"] for r in reports] == [True] * 5 + [False]
+    assert reports[-1]["command"].startswith("transition t")
+    assert reports[-1]["result"]["error"] == "ContextMismatch"
+    assert reports[-1]["result"]["message"] == "charts over different commutation factors"
+
+
 def test_trunc_statement_and_env(tmp_path):
     # the session's `trunc` statement is the one setter of the order: the
     # CLI reads no environment variable, so RHOCALC_TRUNC (once a second

@@ -1,11 +1,13 @@
 """Charts, transitions, bundles, the de Rham calculus and the twisted
 Schouten bracket."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from rhocalc.algebra import Context, Var, lift_poly
+from rhocalc.cyclo import Cyclo
 from rhocalc.derivation import Derivation, is_homological, partial
 from rhocalc.errors import (GradingViolation, NotHomogeneous, NotHomological,
                             ShapeMismatch)
@@ -80,6 +82,20 @@ def test_transition_validation(sctx=None):
            v.ctx.index("eta"): u.ctx.gen("eta")}
     with pytest.raises(GradingViolation):
         TransitionMap(u, v, bad)
+
+
+def test_chart_allocates_nothing_that_grows_with_the_conductor():
+    # the roots of unity are built per factor and only on first use
+    theta = Fraction(1, 1000003)
+    fac = torus_factor([[0, theta], [-theta, 0]])
+    g = fac.group
+    tracemalloc.start()
+    try:
+        make_chart("U", fac, [("u1", g.generator(0)), ("u2", g.generator(1))])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_jacobian_identity_and_linear():
@@ -171,7 +187,7 @@ def test_de_rham_basics(rng):
         g2 = random_poly(big, rng)
         if f.is_zero():
             continue
-        w = big.zeta(fac.phase(d.degree, f.degree_of()))
+        w = Cyclo.from_phase(fac.phase(d.degree, f.degree_of()))
         assert d.apply(f * g2) == d.apply(f) * g2 + (f * d.apply(g2)).scale(w)
 
 
@@ -278,7 +294,7 @@ def _coordinate_lemma_form(sc, f, g):
         gb = partial(ctx, ctx.variables[zb].name).apply(g)
         if fa.is_zero() or gb.is_zero():
             continue
-        w = ctx.zeta(fac.phase(va.degree, df - va.degree))
+        w = Cyclo.from_phase(fac.phase(va.degree, df - va.degree))
         out = out + (fa * pair * gb).scale(w)
     return out
 
@@ -315,14 +331,14 @@ def test_schouten_proposition_suite(rng):
             # (i) degree bookkeeping
             assert b.has_degree(df + dh + i)
             # (ii) twisted antisymmetry
-            w = ctx.zeta(fac.phase(df + i, dh + i))
+            w = Cyclo.from_phase(fac.phase(df + i, dh + i))
             assert b == -(schouten(sc, h, f)).scale(w)
             # (iii) twisted Jacobi
             lhs = schouten(sc, f, schouten(sc, h, k))
             rhs = schouten(sc, b, k) + schouten(sc, h, schouten(sc, f, k)).scale(w)
             assert lhs == rhs
             # (iv) Leibniz in the second slot
-            w2 = ctx.zeta(fac.phase(df + i, dh))
+            w2 = Cyclo.from_phase(fac.phase(df + i, dh))
             assert schouten(sc, f, h * k) == b * k + (h * schouten(sc, f, k)).scale(w2)
 
 
@@ -546,7 +562,7 @@ def test_exterior_matches_loop_oracles_bytes(make_ctx, rng):
         # scalar multiples of zeta_N^k, so stored conductors are exercised
         imgs = {a: ctx.gen(w.name)
                 + random_homogeneous(ctx, rng, w.degree, terms=3).scale(
-                    ctx.root(rng.randrange(ctx.conductor)))
+                    ctx.factor.root(rng.randrange(ctx.conductor)))
                 for a, w in enumerate(ctx.variables)}
         t = TransitionMap(u, v, imgs)
         got = de_rham_transition(dr_u, dr_v, t).images
@@ -555,7 +571,7 @@ def test_exterior_matches_loop_oracles_bytes(make_ctx, rng):
         for k in want:
             _same_bytes(got[k], want[k])
         x = random_derivation(ctx, rng, terms=3).scale(
-            ctx.root(rng.randrange(ctx.conductor)))
+            ctx.factor.root(rng.randrange(ctx.conductor)))
         lx = lie_derivative(dr_u, x)
         want = _loop_lie_components(dr_u, x)
         assert list(lx.components) == list(want)

@@ -1,5 +1,6 @@
 """Grading groups and commutation factors."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from rhocalc.errors import ConstraintViolation
 from rhocalc.grading import (GroupSpec, super_factor, torus_factor,
                              trivial_factor, validate_factor)
 
-from conftest import torus8_context
+from conftest import chevalley_context, torus8_context, torus_context
 
 
 def test_group_spec_validation():
@@ -146,6 +147,33 @@ def test_integer_phase_is_the_fraction_bilinear_sum(label, factory):
         k = fac.phase_k(i, j)
         assert 0 <= k < n and Fraction(k, n) == want
         assert fac.phase(i, j) == want
+
+
+@pytest.mark.parametrize("label,factory", [
+    ("super", super_factor),
+    ("torus4", lambda: torus_context().factor),
+    ("torus8", lambda: torus8_context().factor),
+    ("chevalley", lambda: chevalley_context()[0].factor),
+    ("torus8'", lambda: torus8_context().factor.extend_prime())])
+def test_root_table_matches_a_fresh_root(label, factory):
+    # every degree pair with free parts in -2..2: the cached root is
+    # exp(2 pi i phase) built afresh, in value and in stored conductor
+    fac = factory()
+    g = fac.group
+    span = [range(-2, 3)] * g.free_rank + [range(n) for n in g.torsion_orders]
+    degrees = [g.degree(*parts) for parts in itertools.product(*span)]
+    for i in degrees:
+        for j in degrees:
+            got, want = fac.rho(i, j), Cyclo.from_phase(fac.phase(i, j))
+            assert got == want and got.n == want.n, (i, j)
+
+
+def test_factor_root_reads_zeta_at_the_conductor():
+    fac = torus_context().factor        # conductor 4
+    e1, e2 = fac.group.generator(0), fac.group.generator(1)
+    assert fac.rho(e2, e1) == fac.root(3) == Cyclo.root_of_unity(4, 3)
+    assert fac.rho(e1 * 2, e2) == fac.root(2) == Cyclo.rational(-1)
+    assert fac.root(0) == Cyclo.one()
 
 
 def test_phase_matrix_shape_checks():

@@ -489,7 +489,7 @@ def test_rho_tr_twisted_cyclicity(sctx, rng):
                 return GradedMatrix(sctx, rows, cols, d, ents)
             f = rand(I, J, dF)
             g2 = rand(J, I, dG)
-            w = sctx.zeta(fac.phase(dF, dG))
+            w = Cyclo.from_phase(fac.phase(dF, dG))
             assert rho_tr(f @ g2) == rho_tr(g2 @ f).scale(w)
 
 

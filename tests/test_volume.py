@@ -8,6 +8,7 @@ import pytest
 
 import rhocalc.volume as volume
 from rhocalc.algebra import Context, Var
+from rhocalc.cyclo import Cyclo
 from rhocalc.derivation import Derivation, commutator, is_homological, partial
 from rhocalc.errors import (CertificateMismatch, NotClosed, NotHomological,
                             NotInvertibleDensity, OverlapMismatch)
@@ -90,7 +91,7 @@ def test_divergence_proposition_fuzz(rng):
         # (i) module twist
         fx = x.left_mul(f)
         lhs = divergence_on_chart(fx, s)
-        w = ctx.zeta(fac.phase(f.degree_of(), x.degree))
+        w = Cyclo.from_phase(fac.phase(f.degree_of(), x.degree))
         assert lhs == f * div_x + x.apply(f).scale(w)
         # (ii) equivalent-volume shift
         gsh = random_homogeneous(ctx, rng, degree=zero).i_positive_part()
@@ -98,7 +99,7 @@ def test_divergence_proposition_fuzz(rng):
         assert divergence_on_chart(x, vol2) == div_x + x.apply(gsh)
         # (iii) bracket rule
         lhs3 = divergence_on_chart(commutator(x, y), s)
-        w3 = ctx.zeta(fac.phase(x.degree, y.degree))
+        w3 = Cyclo.from_phase(fac.phase(x.degree, y.degree))
         assert lhs3 == x.apply(div_y) - y.apply(div_x).scale(w3)
 
 
