@@ -28,6 +28,7 @@ from .errors import (ConstraintViolation, ContextMismatch, NegativePower,
 from .grading import EVEN, ODD, CommutationFactor, Degree
 
 BASE = "base"
+_MISSING = object()     # a product-table miss; None is a stored answer
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,8 @@ class Var:
 
 
 class Context:
-    """Immutable variable table + commutation factor + truncation order."""
+    """Immutable variable table + commutation factor + truncation order;
+    immutability makes the product table of `mono_mul` exact."""
 
     def __init__(self, factor: CommutationFactor, variables: Sequence[Var],
                  truncation: int | None = None, name: str = "ctx"):
@@ -90,6 +92,7 @@ class Context:
                         for i, v in enumerate(self.variables)
                         if not v.invertible or v.cap is not None]
         self._degree_cache: dict[tuple[int, ...], object] = {}
+        self._products: dict[tuple, tuple[int, tuple[int, ...]] | None] = {}
 
     # -- lookups -------------------------------------------------------------
 
@@ -156,8 +159,12 @@ class Context:
 
         Returns (k, monomial) with the rho reordering factor zeta_N^k (see
         `CommutationFactor.root`), or None when the product is annihilated
-        (odd square, cap overflow, or truncation).
+        (odd square, cap overflow, or truncation).  Each pair is computed
+        once per context; later calls read the product table.
         """
+        hit = self._products.get((m1, m2), _MISSING)
+        if hit is not _MISSING:
+            return hit
         phase = 0
         pair = self._pair
         for a in range(len(m1)):
@@ -170,7 +177,9 @@ class Context:
                 if eb:
                     phase += ea * eb * row[b]
         out = tuple(map(operator.add, m1, m2))
-        return (phase % self.factor.conductor, out) if self.mono_valid(out) else None
+        r = (phase % self.factor.conductor, out) if self.mono_valid(out) else None
+        self._products[m1, m2] = r
+        return r
 
     # -- element constructors --------------------------------------------------
 

@@ -5,11 +5,11 @@ on the coefficient-times-monomial decomposition), so it is stored as a finite
 component map together with its degree.  Application implements the twisted
 Leibniz rule exactly as one term kernel: each term of the block X(x_a^e),
 built once per (a, e) and kept on the derivation, goes between the
-monomial's prefix and suffix by two `mono_mul` calls into one dict, with
-integer phases, making the scalar products of prefix * block * suffix (one
-root per reordering), so no conductor moves.  The commutator of two
-derivations is again a derivation, computed on generators.
-"""
+monomial's prefix and suffix by two `mono_mul` calls (product-table reads
+after a pair's first time in the context) into one dict, with integer
+phases, making the scalar products of prefix * block * suffix (one root per
+reordering), so no conductor moves.  The commutator of two derivations is
+again a derivation, computed on generators."""
 
 from __future__ import annotations
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,6 +139,10 @@ class CommutationFactor:
         for row in rows:
             for x in row:
                 den = math.lcm(den, x.denominator)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        # str(den) would raise ValueError; 10**limit has over 3*limit bits
+        if limit and den.bit_length() > 3 * limit and den >= 10 ** limit:
+            raise ConstraintViolation("conductor", None, f"more than {limit} digits")
         self.conductor = den
         self._k = tuple(tuple(int(x * den) for x in row) for row in rows)
         self._prime = None

@@ -214,9 +214,10 @@ def rho_det(f: GradedMatrix) -> GradedPoly:
 
     The t's stay implicit, as integer phases at the t-factor's conductor N':
     `_expand` walks the permutations in f's context, and each term pair of
-    word * f_kl costs one `mono_mul` and one product with the cached f_kl
-    term * zeta_N'^p * zeta_N'^q (p: the base phase plus the term past the
-    used t's; q: t_l past the later used t's), two roots that keep every
+    word * f_kl costs one `mono_mul` (a product-table read after its first
+    time in the context) and one product with the cached f_kl term *
+    zeta_N'^p * zeta_N'^q (p: the base phase plus the term past the used
+    t's; q: t_l past the later used t's), two roots that keep every
     conductor.  The O(n 2^n) row product regroups the sums and would move
     printed conductors.  The 0x0 matrix walks one empty word, 1.
     """

@@ -1,7 +1,9 @@
 """Normal ordering, ring axioms, series operations."""
 
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -334,6 +336,28 @@ def test_mono_mul_phase_is_an_integer_mod_the_conductor(rng):
             assert r[0] == (acc % 1) * n, (ctx, m1, m2)
             assert ctx.factor.root(r[0]) == Cyclo.from_phase(acc)
         assert kept > 100
+
+
+@pytest.mark.parametrize("workload", ["det_ber", "modular_class"])
+def test_bench_tasks_match_references_on_full_product_tables(monkeypatch, workload):
+    # run every seed-1 task twice on the same built objects: the second pass
+    # reads the product tables the first pass filled, and both passes must
+    # give the output digests stored under bench/
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    checks = importlib.import_module("checks")
+    workloads = importlib.import_module("workloads")
+    rc = {m: importlib.import_module("rhocalc." + m)
+          for m in ("cyclo", "grading", "algebra", "derivation", "geometry",
+                    "matrix", "volume", "scenarios")}
+    refs = checks.load_references(workload, 1)
+    data = workloads.make_data(workload, 1, None)
+    objs = workloads.build(rc, workload, data, None)
+    assert len(refs) == len(data)
+    for rerun in (False, True):
+        for task, obj in zip(data, objs):
+            result = workloads.RUNNERS[workload](rc, task, obj)
+            text = workloads.TEXTS[workload](result)
+            assert checks.digest(text) == refs[task["id"]], (rerun, task["id"])
 
 
 def test_extended_contexts_read_one_root_table():

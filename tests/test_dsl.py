@@ -529,19 +529,26 @@ def test_cli_undecodable_file_cannot_be_read(tmp_path):
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
-def test_cli_unprintable_report_is_an_internal_error(tmp_path, as_json):
-    # a conductor of about 5000 digits is past json's int-to-text limit, so
-    # printing the factor's report fails outside any statement
+def test_cli_unprintable_conductor_is_a_failed_factor(tmp_path, as_json):
+    # a conductor of about 5000 digits is past the interpreter's int-to-text
+    # limit; the factor refuses it, so the statement fails with a report
+    # instead of the printing failing outside any statement
     a, b = 10 ** 2500 + 1, 10 ** 2500 + 3
     session = tmp_path / "big.rc"
     session.write_text(f"factor torus [[0,1/{a},1/{b}],[-1/{a},0,0],[-1/{b},0,0]];\n",
                        encoding="utf-8")
     out = _run_cli(["run", str(session), *(["--json"] if as_json else [])],
                    cwd=tmp_path)
-    assert out.returncode == 2
-    assert out.stdout == ""
-    assert out.stderr.startswith("rhocalc: internal error: ValueError: Exceeds the limit")
-    assert out.stderr.count("\n") == 1
+    assert out.returncode == 1
+    assert out.stderr == ""
+    message = f"conductor: more than {sys.get_int_max_str_digits()} digits"
+    if as_json:
+        (report,) = json.loads(out.stdout)["reports"]
+        assert report["ok"] is False
+        assert report["result"]["error"] == "ConstraintViolation"
+        assert report["result"]["message"].startswith(message)
+    else:
+        assert "ERROR" in out.stdout and message in out.stdout
 
 
 def test_dsl_session_digests_match_bench_references(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,16 @@ def test_factor_root_reads_zeta_at_the_conductor():
     assert fac.rho(e2, e1) == fac.root(3) == Cyclo.root_of_unity(4, 3)
     assert fac.rho(e1 * 2, e2) == fac.root(2) == Cyclo.rational(-1)
     assert fac.root(0) == Cyclo.one()
+
+
+def test_conductor_must_be_printable():
+    # a conductor of exactly the interpreter's int-to-text limit in digits
+    # prints; one more digit is refused before anything tries to print it
+    limit = sys.get_int_max_str_digits()
+    at, past = Fraction(1, 10 ** limit - 1), Fraction(1, 10 ** limit)
+    assert len(str(torus_factor([[0, at], [-at, 0]]).conductor)) == limit
+    with pytest.raises(ConstraintViolation, match=f"conductor: more than {limit} digits"):
+        torus_factor([[0, past], [-past, 0]])
 
 
 def test_phase_matrix_shape_checks():

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rhocalc.algebra import GradedPoly
+from rhocalc.algebra import Context, GradedPoly, Var
 from rhocalc.cyclo import Cyclo
 from rhocalc.errors import ConstraintViolation, ContextMismatch
 from rhocalc.grading import GroupSpec, super_factor, torus_factor, trivial_factor
 
-from conftest import all_monomials, super_context, torus8_context, torus_context
+from conftest import (all_monomials, super_context, torus8_context, torus_context,
+                      zline_context)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -185,3 +186,60 @@ def test_degree_group_mismatch_raises(g, h):
     for op in (lambda: a + b, lambda: a - b, lambda: b + a, lambda: b - a):
         with pytest.raises(ConstraintViolation):
             op()
+
+
+def _capped_context():
+    fac = torus_factor([[0, Fraction(1, 4)], [-Fraction(1, 4), 0]])
+    g = fac.group
+    return Context(fac, [Var("x", g.zero(), "base", invertible=True),
+                         Var("u1", g.generator(0), "even", cap=2),
+                         Var("u2", g.generator(1), "even", cap=3)], name="capped")
+
+
+_TABLE_CONTEXTS = [super_context(), zline_context(), _capped_context(),
+                   super_context(truncation=1), zline_context(truncation=3),
+                   _TORUS8]
+_TABLE_MONOS = [all_monomials(ctx, 2) for ctx in _TABLE_CONTEXTS]
+
+
+def _reference_product(ctx, m1, m2):
+    # the rho factor of moving each x_a of m1 past each x_b of m2 with b < a,
+    # then the validity rule read off the declarations
+    k = sum(m1[a] * m2[b] * ctx._pair[a][b]
+            for a in range(ctx.nvars) for b in range(a)) % ctx.conductor
+    out = tuple(x + y for x, y in zip(m1, m2))
+    for e, v in zip(out, ctx.variables):
+        if e < 0 and not v.invertible:
+            return None
+        if (v.kind == "odd" and e > 1) or (v.cap is not None and e > v.cap):
+            return None
+    order = sum(e for e, v in zip(out, ctx.variables) if v.kind != "base")
+    if ctx.truncation is not None and order > ctx.truncation:
+        return None
+    return k, out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mono_mul_table_matches_an_independent_rule(data):
+    which = data.draw(st.sampled_from(range(len(_TABLE_CONTEXTS))))
+    ctx, monos = _TABLE_CONTEXTS[which], _TABLE_MONOS[which]
+    m1, m2 = data.draw(st.sampled_from(monos)), data.draw(st.sampled_from(monos))
+    want = _reference_product(ctx, m1, m2)
+    assert ctx.mono_mul(m1, m2) == want     # a miss, or a hit from an earlier example
+    assert ctx.mono_mul(m1, m2) == want     # a hit
+
+
+def test_mono_mul_tables_are_per_context():
+    # xi*eta has order 2: kept under truncation 2, annihilated under 1, so a
+    # table shared between the two contexts would answer one of them wrongly
+    xi, eta, kept = (0, 0, 1, 0), (0, 0, 0, 1), (0, (0, 0, 1, 1))
+    for low_first in (True, False):
+        low, high = super_context(truncation=1), super_context(truncation=2)
+        order = (low, high) if low_first else (high, low)
+        for ctx in order + order:
+            assert ctx.mono_mul(xi, eta) == (None if ctx is low else kept)
+    # a context built by extend starts with its own table
+    low = super_context(truncation=1)
+    assert low.mono_mul(xi, eta) is None
+    assert low.extend([], truncation=2).mono_mul(xi, eta) == kept
