@@ -29,6 +29,9 @@ from .grading import EVEN, ODD, CommutationFactor, Degree
 
 BASE = "base"
 _MISSING = object()     # a product-table miss; None is a stored answer
+# entries a context's product table keeps at most (about 215 bytes each):
+# twenty times the largest table a benchmark task builds (792 entries)
+PRODUCT_TABLE_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,9 @@ class Context:
         Returns (k, monomial) with the rho reordering factor zeta_N^k (see
         `CommutationFactor.root`), or None when the product is annihilated
         (odd square, cap overflow, or truncation).  Each pair is computed
-        once per context; later calls read the product table.
+        once per context and later calls read the product table, until the
+        table holds PRODUCT_TABLE_CAP entries; past that, new pairs are
+        computed on every call and not stored.
         """
         hit = self._products.get((m1, m2), _MISSING)
         if hit is not _MISSING:
@@ -178,7 +183,8 @@ class Context:
                     phase += ea * eb * row[b]
         out = tuple(map(operator.add, m1, m2))
         r = (phase % self.factor.conductor, out) if self.mono_valid(out) else None
-        self._products[m1, m2] = r
+        if len(self._products) < PRODUCT_TABLE_CAP:
+            self._products[m1, m2] = r
         return r
 
     # -- element constructors --------------------------------------------------

@@ -8,6 +8,11 @@ print.  Working modulo the cyclotomic polynomial (rather than z^N - 1) keeps
 the ring a field, so every nonzero element is invertible.  Values at
 different conductors unify by lifting to the lcm; the lift z_N -> z_M^(M/N)
 is injective and preserves arithmetic.
+
+The determinant walk works instead in the tensor basis of Q(zeta_n), the
+product of the Q(zeta_q) over the prime powers q of n (`root`,
+`basis_mul`), where a root of unity is a few terms and no product divides
+by Phi_n; `Cyclo.ints` and `Cyclo.from_ints` move values in and out.
 """
 
 from __future__ import annotations
@@ -36,18 +41,41 @@ def _divmod(num, den: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
+def _primes(n: int) -> tuple[int, ...]:
+    """The distinct prime factors of n, ascending, by trial division up to
+    10^6; ValueError when a factor above 10^12 may remain (no value at
+    such a conductor fits in memory, and the division would not end)."""
+    out, p = [], 2
+    while p * p <= n:
+        if p > 10 ** 6:
+            raise ValueError(f"conductor {n} has a factor too large to find")
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return tuple(out + [n] if n > 1 else out)
+
+
+@lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, ascending degree."""
+    """Integer coefficients of Phi_n, ascending degree: Phi_n(z) =
+    Phi_r(z^(n/r)) for r = rad(n), and Phi_r(z) = Phi_m(z^p) / Phi_m(z)
+    for squarefree r = p m, p its largest prime."""
     if n < 1:
         raise ValueError("conductor must be positive")
     if n == 1:
         return (-1, 1)
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n // 2 + 1):
-        if n % d == 0:
-            num, rest = _divmod(num, cyclotomic_poly(d))
-            if any(rest):
-                raise ArithmeticError("non-exact polynomial division")
+    r = math.prod(_primes(n))
+    p = n // r if r < n else _primes(n)[-1]
+    low = cyclotomic_poly(r if r < n else n // p)
+    num = [0] * ((len(low) - 1) * p + 1)
+    num[::p] = low
+    if r < n:
+        return tuple(num)
+    num, rest = _divmod(num, low)
+    if any(rest):
+        raise ArithmeticError("non-exact polynomial division")
     return tuple(num)
 
 
@@ -88,6 +116,103 @@ def _mul_num(a, b, n: int) -> tuple[int, ...]:
                 if y:
                     out[i + j] += x * y
     return _reduce(out, n)
+
+
+@lru_cache(maxsize=None)
+def totient(n: int) -> int:
+    """phi(n), the degree of Phi_n and the length of a power-basis vector."""
+    for p in _primes(n):
+        n = n // p * (p - 1)
+    return n
+
+
+@lru_cache(maxsize=4096)
+def power(n: int, e: int) -> tuple[tuple[int, int], ...]:
+    """z^e mod Phi_n, the power-basis form of zeta_n^e, as its nonzero
+    (slot, coefficient) pairs.  With r = rad(n), Phi_n(z) = Phi_r(z^(n/r)),
+    and Phi_2m(z) = Phi_m(-z) for odd m, so only an odd squarefree n
+    divides, and only for e >= phi(n)."""
+    e %= n
+    r = math.prod(_primes(n))
+    if r < n:
+        q, t = divmod(e, n // r)
+        return tuple((j * (n // r) + t, c) for j, c in power(r, q))
+    if n % 2 == 0:
+        return tuple((j, -c if (e + j) & 1 else c) for j, c in power(n // 2, e))
+    if e < totient(n):
+        return ((e, 1),)
+    return tuple((i, a) for i, a in enumerate(_reduce((0,) * e + (1,), n)) if a)
+
+
+@lru_cache(maxsize=None)
+def _tensor(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(q, phi(q), u, o) for each prime power q of n, ascending: Q(zeta_n)
+    is the tensor product of the Q(zeta_q), zeta_n = prod zeta_q^u, and
+    Q(zeta_q)'s basis is zeta_q^x for the phi(q) exponents o <= x < o +
+    phi(q), centred on 0 so that zeta_q^-1 is one slot (zeta_p^(p-1) is
+    p - 1 slots in the power basis)."""
+    out = []
+    for p in _primes(n):
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        size = q - q // p
+        out.append((q, size, pow(n // q, -1, q), -(size // 2)))
+    return tuple(out)
+
+
+def _word(n: int, exps) -> tuple[tuple[int, int], ...]:
+    """prod zeta_q^x (x from exps, one per prime power q of n) in the
+    tensor basis, whose slot sum_q r_q R_q (R_q the product of the earlier
+    phi(q)) is prod zeta_q^x_q, r_q = x_q mod phi(q) for the x_q of the
+    centred window; slot 0 is 1.  With q = p^k and x outside the window,
+    zeta_q^x is minus the sum of zeta_q^(x - i q/p), 0 < i < p, from 1 + w
+    + ... + w^(p-1) = 0 for w = zeta_q^(q/p)."""
+    out, radix = [(0, 1)], 1
+    for (q, size, _, o), x in zip(_tensor(n), exps):
+        x = (x - o) % q + o
+        step = q - size
+        part = ((x % size, 1),) if x < o + size else tuple(
+            ((x - i * step) % size, -1) for i in range(1, size // step + 1))
+        out = [(j + radix * t, c * y) for j, c in out for t, y in part]
+        radix *= size
+    return tuple(out)
+
+
+def _digits(n: int, j: int) -> list[int]:
+    """The per-prime-power exponents of tensor slot j of Q(zeta_n)."""
+    out = []
+    for _, size, _, o in _tensor(n):
+        j, r = divmod(j, size)
+        out.append(r if r < o + size else r - size)
+    return out
+
+
+@lru_cache(maxsize=4096)
+def root(n: int, e: int, j: int = 0) -> tuple[tuple[int, int], ...]:
+    """zeta_n^e times tensor slot j of Q(zeta_n), as (slot, coefficient)
+    pairs: at most p - 1 terms per prime power p^k of n, none of them found
+    by dividing by Phi_n."""
+    return _word(n, [x + e * u for x, (_, _, u, _) in zip(_digits(n, j), _tensor(n))])
+
+
+@lru_cache(maxsize=4096)
+def basis_mul(n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """The product of tensor slots i and j of Q(zeta_n)."""
+    return _word(n, [a + b for a, b in zip(_digits(n, i), _digits(n, j))])
+
+
+@lru_cache(maxsize=4096)
+def _descent(n: int, d: int, j: int) -> tuple[tuple[int, int], ...]:
+    """Tensor slot j of Q(zeta_n) in the power basis of Q(zeta_d), d | n;
+    ValueError when it is not in Q(zeta_d) (see `Cyclo.from_ints`)."""
+    e = 0
+    for (q, _, _, _), x in zip(_tensor(n), _digits(n, j)):
+        g = math.gcd(q, d)
+        if x % (q // g):
+            raise ValueError(f"value is not in Q(zeta_{d})")
+        e += x // (q // g) * (d // g)
+    return power(d, e)
 
 
 def _new(n: int, num, den: int) -> "Cyclo":
@@ -159,6 +284,40 @@ class Cyclo:
         out = [0] * ((len(self.num) - 1) * step + 1)
         out[::step] = self.num
         return _new(m, _reduce(out, m), self.den)
+
+    def ints(self, n: int) -> dict:
+        """This value at conductor n, a multiple of its own, as a mapping
+        tensor slot -> numerator over self.den (zeros left out)."""
+        if n % self.n:
+            raise ValueError("lift target must be a conductor multiple")
+        if self.n == 1:     # a rational: slot 0 is 1 at every conductor
+            return {0: self.num[0]} if self.num[0] else {}
+        out: dict = {}
+        for i, x in enumerate(self.num):
+            for slot, y in root(n, i * (n // self.n)) if x else ():
+                out[slot] = out.get(slot, 0) + x * y
+        return {slot: x for slot, x in out.items() if x}
+
+    @staticmethod
+    def from_ints(n: int, num, den: int, d: int) -> "Cyclo":
+        """The inverse of `ints` and of `lift`: the value of the numerators
+        num (a mapping tensor slot of Q(zeta_n) -> integer) over den > 0,
+        stored at conductor d, a divisor of n; ValueError when the value is
+        not in Q(zeta_d).
+
+        With g = gcd(q, d) for each prime power q of n, Q(zeta_d) is the
+        tensor product of the Q(zeta_g) inside those of the Q(zeta_q), and
+        zeta_g = zeta_q^(q/g): the value is in it iff every used slot's
+        exponent at each q is a multiple of q/g.  Such a slot is zeta_d^E,
+        E the sum of (exponent / (q/g)) d/g, which `power` reduces mod
+        Phi_d."""
+        if n % d:
+            raise ValueError("descent target must divide the conductor")
+        out = [0] * totient(d)
+        for j, c in num.items():
+            for slot, y in _descent(n, d, j) if c else ():
+                out[slot] += c * y
+        return _new(d, out, den)
 
     @staticmethod
     def _unify(a: "Cyclo", b: "Cyclo"):

@@ -2,19 +2,20 @@
 
 import importlib
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rhocalc.algebra import Context, GradedPoly, Var, adjoin_eps, lift_poly, \
-    poly_text, prime_context, rho_commutator, restrict_poly, substitute
+from rhocalc.algebra import PRODUCT_TABLE_CAP, Context, GradedPoly, Var, adjoin_eps, \
+    lift_poly, poly_text, prime_context, rho_commutator, restrict_poly, substitute
 from rhocalc.cyclo import Cyclo
 from rhocalc.derivation import partial
 from rhocalc.errors import (ConstraintViolation, ContextMismatch, NegativePower,
                             NotHomogeneous, NotInvertible, TruncationRequired,
                             UnsupportedConstantPart)
-from rhocalc.grading import super_factor, torus_factor
+from rhocalc.grading import GroupSpec, super_factor, torus_factor, trivial_factor
 
 from conftest import (random_derivation, random_homogeneous, random_poly,
                       super_context, torus8_context, torus_context,
@@ -410,3 +411,21 @@ def test_context_rejects_a_negative_truncation():
     fac = super_factor()
     with pytest.raises(ConstraintViolation):
         Context(fac, [Var("xi", fac.group.degree(1), "odd")], truncation=-1)
+
+
+def test_product_table_stops_growing_at_its_cap():
+    # the square of (1+x+y+z)^10 has 286^2 = 81,796 monomial pairs; an
+    # unbounded table stored them all (about 17 MB traced at its peak)
+    g = GroupSpec(1)
+    ctx = Context(trivial_factor(g), [Var(v, g.zero(), "base") for v in "xyz"])
+    p = (ctx.one() + ctx.gen("x") + ctx.gen("y") + ctx.gen("z")) ** 10
+    tracemalloc.start()
+    try:
+        sq = p * p
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ctx._products) == PRODUCT_TABLE_CAP < len(p.terms) ** 2
+    assert peak < 8e6, peak
+    assert len(sq.terms) == 1771
+    assert sq.coefficient((10, 10, 0)) == 184756     # 20! / (10! 10!)

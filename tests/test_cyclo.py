@@ -2,11 +2,15 @@
 
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from rhocalc.cyclo import Cyclo, cyclotomic_poly, fraction_text, signed_sum
+from rhocalc import cyclo
+from rhocalc.cyclo import (Cyclo, basis_mul, cyclotomic_poly, fraction_text,
+                          power, root, signed_sum, totient)
 from rhocalc.errors import NotInvertible
 
 
@@ -103,6 +107,89 @@ def test_lift_is_arithmetic_preserving():
 def test_lift_rejects_non_multiple():
     with pytest.raises(ValueError):
         Cyclo.root_of_unity(4).lift(6)
+
+
+def _descend(value, d):
+    return Cyclo.from_ints(value.n, value.ints(value.n), value.den, d)
+
+
+def test_from_ints_stores_a_value_at_a_divisor_or_raises():
+    z8, z12 = Cyclo.root_of_unity(8), Cyclo.root_of_unity(12)
+    assert _descend(Cyclo.root_of_unity(6), 3).text() == "1 + zeta(3)"
+    assert _descend(z12 ** 4, 3).text() == "zeta(3)"
+    half = Cyclo.rational(Fraction(-1, 2)).lift(2)
+    assert half.n == 2 and _descend(half, 1).n == 1
+    assert _descend(z8 ** 2 * Fraction(3, 4), 4).text() == "3/4*zeta(4)"
+    for value, d in ((z8, 4), (z8, 1), (z12 + 1, 6), (z12 ** 4, 4)):
+        with pytest.raises(ValueError, match="not in"):
+            _descend(value, d)
+    with pytest.raises(ValueError, match="divide"):
+        _descend(z8, 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 16, 24, 30, 105])
+def test_power_reduces_z_to_the_e(n):
+    assert totient(n) == len(cyclotomic_poly(n)) - 1
+    for e in range(-n, 2 * n):
+        want = Cyclo.root_of_unity(n, e).num
+        assert dict(power(n, e)) == {i: a for i, a in enumerate(want) if a}
+        if n & (n - 1) == 0:
+            assert len(power(n, e)) == 1 and power(n, e)[0][1] in (1, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 9, 12, 15, 16, 24, 30, 45, 105])
+def test_tensor_basis_multiplies_as_cyclo_does(n):
+    # products through basis_mul and roots through root, read back by
+    # from_ints, equal Cyclo arithmetic; slot 0 is 1
+    rng = random.Random(n)
+    assert root(n, 0) == ((0, 1),)
+    for _ in range(4):
+        a, b = (Cyclo(n, [rng.randint(-3, 3) for _ in range(totient(n))]) for _ in "ab")
+        prod: dict = {}
+        for s, x in a.ints(n).items():
+            for r, y in b.ints(n).items():
+                for t, z in basis_mul(n, s, r):
+                    prod[t] = prod.get(t, 0) + x * y * z
+        assert Cyclo.from_ints(n, prod, 1, n) == a * b
+    for e in range(-n, 2 * n):
+        for j in {0, 1 % totient(n), totient(n) // 2, totient(n) - 1}:
+            shifted = dict(root(n, e, j))
+            want = Cyclo.root_of_unity(n, e) * Cyclo.from_ints(n, {j: 1}, 1, n)
+            assert Cyclo.from_ints(n, shifted, 1, n) == want, (e, j)
+
+
+def test_conductor_factoring_stops_instead_of_hanging():
+    # the tensor basis and Phi_n need n's primes; trial division stops at
+    # 10^6, so a cofactor that may hide a factor above 10^12 raises at once
+    assert cyclo._primes(2 * 3 * 5 * 7 * 1000003) == (2, 3, 5, 7, 1000003)
+    assert totient(10 ** 12 + 39) == 10 ** 12 + 38     # a prime below the bound
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        root(1000003 * (10 ** 12 + 39), 1)
+    assert time.perf_counter() - start < 5
+
+
+def test_roots_and_descent_stay_linear_at_a_large_conductor():
+    # conductor 2 * 10007 (phi 10006): a rational and 3/2 - zeta(10007)/4
+    # come back from their tensor numerators with no table quadratic in the
+    # conductor (no lift, which reduces by Phi_20014, is used here)
+    n, p = 20014, 10007
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        num = {0: 6}
+        assert Cyclo.from_ints(n, num, 4, 1).text() == "3/2"
+        for slot, c in root(n, p + 2):       # zeta(20014)^10009 = -zeta(10007)
+            num[slot] = num.get(slot, 0) + c
+        with pytest.raises(ValueError, match="not in"):
+            Cyclo.from_ints(n, num, 4, 1)
+        assert Cyclo.from_ints(n, num, 4, p).text() == "3/2 - 1/4*zeta(10007)"
+        dense = Cyclo.from_ints(n, dict(root(n, -2)), 1, p)    # zeta(10007)^-1
+        assert dense.n == p and dense.n_terms() == p - 1
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5 and peak < 20e6, (elapsed, peak)
 
 
 def test_mixed_conductor_arithmetic():

@@ -3,13 +3,17 @@
 import importlib
 import itertools
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rhocalc.algebra import (Context, GradedPoly, Var, lift_poly,
                              prime_context)
+from rhocalc import cyclo, matrix
 from rhocalc.cyclo import Cyclo
 from rhocalc.errors import (GradingViolation, MixedParity, NonzeroDegree,
                             NotInvertible, ShapeMismatch, TruncationRequired)
@@ -778,6 +782,77 @@ def test_rho_det_builds_no_context(monkeypatch, sctx, rng):
     assert built == []
 
 
+def test_rho_det_builds_cyclos_only_for_the_result(monkeypatch):
+    # the walk runs on integer vectors: Cyclo constructions are bounded by
+    # the entry and result terms, not by the term pairs (the Cyclo walk
+    # built about 1.7 per term pair)
+    built, pairs = [], []
+    new, mono_mul = cyclo._new, Context.mono_mul
+    monkeypatch.setattr(cyclo, "_new", lambda *a: built.append(a) or new(*a))
+    monkeypatch.setattr(Context, "mono_mul",
+                        lambda self, *a: pairs.append(a) or mono_mul(self, *a))
+    for seed in range(3):
+        f = _det_case("torus8", 5, random.Random(f"torus8-count{seed}"))
+        del built[:], pairs[:]
+        got = rho_det(f)
+        terms = sum(len(e.terms) for row in f.entries for e in row) + len(got.terms)
+        assert len(built) <= 2 * terms < len(pairs), (len(built), terms, len(pairs))
+
+
+def test_inverse_walks_each_shared_prefix_once(monkeypatch, rng):
+    # a dense 5x5 Laurent grid: the determinant and its 25 cofactors walk
+    # 1,030 distinct (row prefix, used columns) words instead of 1,925
+    steps = []
+    step = matrix._Walk.step
+    monkeypatch.setattr(matrix._Walk, "step",
+                        lambda self, *a: steps.append(a[1:]) or step(self, *a))
+    ctx = super_context()
+    g = ctx.factor.group
+    degs = (g.zero(),) * 5
+    f = GradedMatrix(ctx, degs, degs, g.zero(),
+                     [[ctx.scalar(random_scalar(rng)) + ctx.gen("xi") * ctx.gen("eta")
+                       for _ in range(5)] for _ in range(5)])
+    got = inverse(f)
+    assert len(steps) <= 1030
+    for got_row, want_row in zip(got.entries, adjugate_inverse(f).entries):
+        for a, b in zip(got_row, want_row):
+            assert_same_bytes(a, b)
+    # a singular Laurent part raises after the determinant's 325 steps,
+    # before any cofactor is walked
+    del steps[:]
+    ents = [list(row) for row in f.entries]
+    ents[1] = ents[0]
+    with pytest.raises(NotInvertible):
+        inverse(GradedMatrix(ctx, degs, degs, g.zero(), ents))
+    assert len(steps) <= 325
+
+
+def test_inverse_keeps_at_most_prefix_cap_words(monkeypatch, rng):
+    # a dense 6x6 has 1,236 prefix words above its leaves; inverse keeps the
+    # levels that fit in PREFIX_CAP (516 words) and empties the store in the
+    # cofactors' walk, so its memory does not grow like n!
+    kept = []
+    expand = matrix._Walk.expand
+
+    def spy(self, rows, cols, prefixes=None, cofactors=False):
+        out = expand(self, rows, cols, prefixes, cofactors)
+        kept.append(len(prefixes))
+        return out
+
+    monkeypatch.setattr(matrix._Walk, "expand", spy)
+    ctx = super_context()
+    g = ctx.factor.group
+    degs = (g.zero(),) * 6
+    f = GradedMatrix(ctx, degs, degs, g.zero(),
+                     [[ctx.scalar(random_scalar(rng)) + ctx.gen("xi") * ctx.gen("eta")
+                       for _ in range(6)] for _ in range(6)])
+    got = inverse(f)
+    assert kept == [516, 0] and 516 <= matrix.PREFIX_CAP < 1236
+    for got_row, want_row in zip(got.entries, adjugate_inverse(f).entries):
+        for a, b in zip(got_row, want_row):
+            assert_same_bytes(a, b)
+
+
 def test_rho_det_is_multiplicative_on_small_torus8_tuples():
     # seeded pairs on the det_ber torus8 slots (0, e1) and (0, e1, e2)
     rng = random.Random("torus8-product")
@@ -962,3 +1037,75 @@ def test_det_ber_digests_match_bench_references(monkeypatch):
             result = workloads.RUNNERS["det_ber"](rc, task, obj)
             text = workloads.TEXTS["det_ber"](result)
             assert checks.digest(text) == refs[task["id"]], (seed, task["id"])
+
+
+@pytest.mark.parametrize("family", ["super", "torus4", "torus8", "torus3"])
+def test_inverse_and_ber_match_the_adjugate_oracle_at_n5(family):
+    # n = 5 is where the determinant and the cofactors share prefix words
+    rng = random.Random(family + "/5")
+    for _ in range(3):
+        f = _inverse_case(family, 5, rng)
+        assert_same_bytes(rho_ber(f), adjugate_rho_ber(f))
+        try:
+            want = adjugate_inverse(f)
+        except NotInvertible:
+            with pytest.raises(NotInvertible):
+                inverse(f)
+            continue
+        for got_row, want_row in zip(inverse(f).entries, want.entries):
+            for a, b in zip(got_row, want_row):
+                assert_same_bytes(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["super-even", "super-odd", "torus4", "torus8", "torus3"]),
+       st.sampled_from([None, 0, 1, 2]), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2 ** 32))
+def test_rho_det_with_root_scalars_matches_the_permutation_sum(family, truncation,
+                                                               n, seed):
+    # entry scalars of conductor 3, 4 and 8 on any factor: the walk's
+    # conductor is the lcm of the t-factor's and the entries', and every
+    # coefficient ends at the permutation sum's conductor
+    rng = random.Random(seed)
+    f = _det_case(family, n, rng, truncation)
+    ents = [[e.scale(_root_scalar(rng, (1, 3, 4, 8))) if rng.random() < 0.6 else e
+             for e in row] for row in f.entries]
+    f = GradedMatrix(f.ctx, f.rows, f.cols, f.degree, ents)
+    assert_same_bytes(rho_det(f), permutation_rho_det(f))
+
+
+def _prime_torus_case(n, rng):
+    """A degree-0 matrix over theta = 2/10007 on the torus slots, the
+    diagonal with a scalar and about one entry in five set to zero."""
+    plain = _twisted_torus_context(Fraction(2, 10007))
+    ctx = Context(plain.factor, plain.variables, name="torus10007")
+    g = ctx.factor.group
+    degs = tuple(g.degree(*s) for s in _TORUS_SLOTS[:n])
+    ents = [[_bucket_entry(ctx, rng, degs[k] - degs[l]) if rng.random() < 0.8
+             else ctx.zero() for l in range(n)] for k in range(n)]
+    for k in range(n):
+        ents[k][k] = ents[k][k] + ctx.scalar(random_scalar(rng))
+    return GradedMatrix(ctx, degs, degs, g.zero(), ents)
+
+
+def test_det_and_ber_at_a_prime_conductor_near_ten_thousand():
+    # zeta(10007)^2 between mixed variables: the even tuple's t-factor has
+    # conductor 20014, and the walk's roots, products and descent stay
+    # linear in it (a table of Phi_N-reduced powers and a phi(N)-square
+    # descent matrix per walk took about 10 GB here); theta = 2/10007
+    # keeps the oracles' power-basis roots one term each
+    cases = [_prime_torus_case(2 + seed % 3, random.Random(f"p10007/{seed}"))
+             for seed in range(8)]
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        got = [(rho_det(f), rho_ber(f)) for f in cases]
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 5 and peak < 20e6, (elapsed, peak)
+    for f, (det, ber) in zip(cases, got):
+        assert_same_bytes(det, permutation_rho_det(f))
+        assert_same_bytes(ber, adjugate_rho_ber(f))
+    conductors = {c.n for det, _ in got for c in det.terms.values()}
+    assert {10007, 20014} <= conductors, conductors

@@ -243,3 +243,15 @@ def test_mono_mul_tables_are_per_context():
     low = super_context(truncation=1)
     assert low.mono_mul(xi, eta) is None
     assert low.extend([], truncation=2).mono_mul(xi, eta) == kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=60).flatmap(
+    lambda d: st.tuples(st.just(d), cyclo_elements(d))))
+def test_from_ints_inverts_lift_up_to_conductor_120(case):
+    # lifting to every multiple m <= 120 and descending back gives a's bytes
+    d, a = case
+    for m in range(d, 121, d):
+        b = a.lift(m)
+        b = Cyclo.from_ints(m, b.ints(m), b.den, d)
+        assert (b.n, b.num, b.den) == (a.n, a.num, a.den), m
