@@ -1,18 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are stored in the power basis 1, z, ..., z^(phi(N)-1) modulo the
-N-th cyclotomic polynomial, as integer numerators over one positive
-denominator in lowest terms (the nf_elem layout of FLINT/Antic), so a value
-has one representation at each conductor and Fractions are built only to
-print.  Working modulo the cyclotomic polynomial (rather than z^N - 1) keeps
-the ring a field, so every nonzero element is invertible.  Values at
-different conductors unify by lifting to the lcm; the lift z_N -> z_M^(M/N)
-is injective and preserves arithmetic.
-
-The determinant walk works instead in the tensor basis of Q(zeta_n), the
-product of the Q(zeta_q) over the prime powers q of n (`root`,
-`basis_mul`), where a root of unity is a few terms and no product divides
-by Phi_n; `Cyclo.ints` and `Cyclo.from_ints` move values in and out.
+A value is stored in the tensor basis of Q(zeta_N), the product of the
+bases of the Q(zeta_q) over the prime powers q of N (`root`, `basis_mul`):
+one integer numerator per slot over one positive denominator in lowest
+terms (the nf_elem layout of FLINT/Antic), so a value has one form at each
+conductor.  A root of unity is at most p - 1 slots per prime power p^k of
+N, and no product divides by Phi_N.  Values at different conductors unify
+by lifting to the lcm, which moves each slot to one slot (`_slot_maps`).
+Values print in the power basis modulo Phi_N; `power` makes that form and
+is the one place that divides by Phi_N.
 """
 
 from __future__ import annotations
@@ -104,23 +100,9 @@ def signed_sum(parts) -> str:
     return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
-def _reduce(num, n: int) -> tuple[int, ...]:
-    return _divmod(num, cyclotomic_poly(n))[1]
-
-
-def _mul_num(a, b, n: int) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _reduce(out, n)
-
-
 @lru_cache(maxsize=None)
 def totient(n: int) -> int:
-    """phi(n), the degree of Phi_n and the length of a power-basis vector."""
+    """phi(n), the degree of Phi_n and the number of slots of a value."""
     for p in _primes(n):
         n = n // p * (p - 1)
     return n
@@ -141,7 +123,8 @@ def power(n: int, e: int) -> tuple[tuple[int, int], ...]:
         return tuple((j, -c if (e + j) & 1 else c) for j, c in power(n // 2, e))
     if e < totient(n):
         return ((e, 1),)
-    return tuple((i, a) for i, a in enumerate(_reduce((0,) * e + (1,), n)) if a)
+    rest = _divmod((0,) * e + (1,), cyclotomic_poly(n))[1]
+    return tuple((i, a) for i, a in enumerate(rest) if a)
 
 
 @lru_cache(maxsize=None)
@@ -202,17 +185,45 @@ def basis_mul(n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
     return _word(n, [a + b for a, b in zip(_digits(n, i), _digits(n, j))])
 
 
-@lru_cache(maxsize=4096)
-def _descent(n: int, d: int, j: int) -> tuple[tuple[int, int], ...]:
-    """Tensor slot j of Q(zeta_n) in the power basis of Q(zeta_d), d | n;
-    ValueError when it is not in Q(zeta_d) (see `Cyclo.from_ints`)."""
-    e = 0
-    for (q, _, _, _), x in zip(_tensor(n), _digits(n, j)):
-        g = math.gcd(q, d)
-        if x % (q // g):
-            raise ValueError(f"value is not in Q(zeta_{d})")
-        e += x // (q // g) * (d // g)
-    return power(d, e)
+def _exponent(n: int, j: int) -> int:
+    """The E with tensor slot j of Q(zeta_n) equal to zeta_n^E."""
+    return sum(x * (n // q) for (q, _, _, _), x in zip(_tensor(n), _digits(n, j)))
+
+
+def _times_slot(n: int, u, i: int) -> list:
+    """The nonzero (slot, numerator) pairs of u (given by its pairs) times
+    tensor slot i of Q(zeta_n): `Cyclo`'s and the walk's product kernel."""
+    out: dict = {}
+    for s, x in u:
+        for slot, y in basis_mul(n, s, i):
+            out[slot] = out.get(slot, 0) + x * y
+    return [(slot, x) for slot, x in out.items() if x]
+
+
+def _product(n: int, a, b) -> list[int]:
+    """The slot numerators of a times b in Q(zeta_n), both given by theirs."""
+    u = [(j, x) for j, x in enumerate(a) if x]
+    out = [0] * len(a)
+    for i, y in enumerate(b):
+        for slot, z in _times_slot(n, u, i) if y else ():
+            out[slot] += y * z
+    return out
+
+
+@lru_cache(maxsize=256)
+def _slot_maps(d: int, n: int) -> tuple[tuple[int, ...], dict]:
+    """(up, down) for d | n: slot j of Q(zeta_d) lifts to slot up[j] of
+    Q(zeta_n), and down inverts up.  zeta_g = zeta_q^(q/g) for g = gcd(q, d)
+    at each prime power q of n, and x q/g is in q's window for x in g's, so
+    a slot lifts to one slot with coefficient 1."""
+    up, radix, low = [0], 1, iter(_tensor(d))
+    for p, (q, size, _, _) in zip(_primes(n), _tensor(n)):
+        if d % p == 0:
+            g, gsize, _, _ = next(low)
+            xs = [_digits(g, r)[0] for r in range(gsize)]
+            up = [j + x * (q // g) % size * radix for x in xs for j in up]
+        radix *= size
+    return tuple(up), {slot: j for j, slot in enumerate(up)}
 
 
 def _new(n: int, num, den: int) -> "Cyclo":
@@ -226,22 +237,32 @@ def _new(n: int, num, den: int) -> "Cyclo":
 
 
 class Cyclo:
-    """An element of Q(zeta_n) in the power basis modulo Phi_n: the
-    integers `num` over `den`, with den > 0 and gcd(den, *num) == 1."""
+    """An element of Q(zeta_n): the integers `num`, one per tensor slot
+    (slot 0 is 1), over `den`, with den > 0 and gcd(den, *num) == 1; it
+    prints in the power basis modulo Phi_n."""
 
     __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs):
+        """The value sum coeffs[k] zeta_n^k."""
         vals = [Fraction(c) for c in coeffs]
         den = math.lcm(*(v.denominator for v in vals))
-        num = [v.numerator * (den // v.denominator) for v in vals]
-        x = _new(n, _reduce(num, n), den)
+        num = [0] * totient(n)
+        for k, v in enumerate(vals):
+            for slot, y in root(n, k) if v else ():
+                num[slot] += y * v.numerator * (den // v.denominator)
+        x = _new(n, num, den)
         self.n, self.num, self.den = n, x.num, x.den
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The power-basis coefficients as Fractions."""
-        return tuple(Fraction(a, self.den) for a in self.num)
+        """The power-basis coefficients as Fractions, the printed form: slot
+        j is zeta_n^E, which `power` reduces mod Phi_n."""
+        n, out = self.n, [0] * len(self.num)
+        for j, x in enumerate(self.num):
+            for i, y in power(n, _exponent(n, j)) if x else ():
+                out[i] += x * y
+        return tuple(Fraction(a, self.den) for a in out)
 
     # -- constructors ------------------------------------------------------
 
@@ -262,9 +283,11 @@ class Cyclo:
 
     @staticmethod
     def root_of_unity(n: int, k: int = 1) -> "Cyclo":
-        """zeta_n^k, reduced into the power basis."""
-        k %= n
-        return _new(n, _reduce((0,) * k + (1,), n), 1)
+        """zeta_n^k: at most p - 1 slots per prime power p^k of n."""
+        num = [0] * totient(n)
+        for slot, y in root(n, k):
+            num[slot] = y
+        return _new(n, num, 1)
 
     @staticmethod
     def from_phase(phase: Fraction) -> "Cyclo":
@@ -280,43 +303,26 @@ class Cyclo:
             return self
         if m % self.n:
             raise ValueError("lift target must be a conductor multiple")
-        step = m // self.n
-        out = [0] * ((len(self.num) - 1) * step + 1)
-        out[::step] = self.num
-        return _new(m, _reduce(out, m), self.den)
-
-    def ints(self, n: int) -> dict:
-        """This value at conductor n, a multiple of its own, as a mapping
-        tensor slot -> numerator over self.den (zeros left out)."""
-        if n % self.n:
-            raise ValueError("lift target must be a conductor multiple")
-        if self.n == 1:     # a rational: slot 0 is 1 at every conductor
-            return {0: self.num[0]} if self.num[0] else {}
-        out: dict = {}
-        for i, x in enumerate(self.num):
-            for slot, y in root(n, i * (n // self.n)) if x else ():
-                out[slot] = out.get(slot, 0) + x * y
-        return {slot: x for slot, x in out.items() if x}
+        out = [0] * totient(m)
+        for slot, x in zip(_slot_maps(self.n, m)[0], self.num):
+            out[slot] = x
+        return _new(m, out, self.den)
 
     @staticmethod
     def from_ints(n: int, num, den: int, d: int) -> "Cyclo":
-        """The inverse of `ints` and of `lift`: the value of the numerators
-        num (a mapping tensor slot of Q(zeta_n) -> integer) over den > 0,
-        stored at conductor d, a divisor of n; ValueError when the value is
-        not in Q(zeta_d).
-
-        With g = gcd(q, d) for each prime power q of n, Q(zeta_d) is the
-        tensor product of the Q(zeta_g) inside those of the Q(zeta_q), and
-        zeta_g = zeta_q^(q/g): the value is in it iff every used slot's
-        exponent at each q is a multiple of q/g.  Such a slot is zeta_d^E,
-        E the sum of (exponent / (q/g)) d/g, which `power` reduces mod
-        Phi_d."""
+        """The inverse of `lift`: the value of the numerators num (a mapping
+        tensor slot of Q(zeta_n) -> integer) over den > 0, stored at
+        conductor d, a divisor of n; ValueError when the value is not in
+        Q(zeta_d), that is when a nonzero slot is not a lifted one."""
         if n % d:
             raise ValueError("descent target must divide the conductor")
+        down = _slot_maps(d, n)[1]
         out = [0] * totient(d)
         for j, c in num.items():
-            for slot, y in _descent(n, d, j) if c else ():
-                out[slot] += c * y
+            if c:
+                if j not in down:
+                    raise ValueError(f"value is not in Q(zeta_{d})")
+                out[down[j]] = c
         return _new(d, out, den)
 
     @staticmethod
@@ -366,7 +372,7 @@ class Cyclo:
             p, q = r.num[0], r.den
             return x if p == q == 1 else _new(x.n, [p * a for a in x.num], q * x.den)
         a, b = Cyclo._unify(self, other)
-        return _new(a.n, _mul_num(a.num, b.num, a.n), a.den * b.den)
+        return _new(a.n, _product(a.n, a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -377,18 +383,20 @@ class Cyclo:
         if self.is_rational():
             rest, norm = (1,) + (0,) * (len(num) - 1), num[0]
         else:
-            # 1/a is the product of a's other Galois conjugates (z -> z^k, k
-            # coprime to n) over the norm, which is an integer for integer
-            # num: the result stays in Q(zeta_n), where its reduced form is
-            # unique.
-            rest = (1,)
+            # 1/a is the product of a's other Galois conjugates (zeta_n ->
+            # zeta_n^k, k coprime to n, which takes slot zeta_n^E to the root
+            # zeta_n^(kE)) over the norm, an integer in slot 0 for integer
+            # num: the result stays in Q(zeta_n), where its form is unique.
+            used = [(_exponent(n, j), c) for j, c in enumerate(num) if c]
+            rest = [1] + [0] * (len(num) - 1)
             for k in range(2, n):
                 if math.gcd(k, n) == 1:
-                    conj = [0] * n
-                    for j, c in enumerate(num):
-                        conj[j * k % n] = c
-                    rest = _mul_num(rest, _reduce(conj, n), n)
-            norm = _mul_num(num, rest, n)[0]
+                    conj = [0] * len(num)
+                    for e, c in used:
+                        for slot, y in root(n, k * e % n):
+                            conj[slot] += c * y
+                    rest = _product(n, rest, conj)
+            norm = _product(n, num, rest)[0]
         if norm < 0:
             rest, norm = [-a for a in rest], -norm
         return _new(n, [self.den * a for a in rest], norm)
@@ -430,11 +438,11 @@ class Cyclo:
         that made them lifted to different conductors (zeta(4) times
         zeta(8)/zeta(8) prints as zeta(8)^2)."""
         parts = []
-        for k, a in enumerate(self.num):
-            if a == 0:
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
                 continue
-            sign = "-" if a < 0 else "+"
-            ac = Fraction(abs(a), self.den)
+            sign = "-" if c < 0 else "+"
+            ac = abs(c)
             if k == 0:
                 mag = fraction_text(ac)
             else:
@@ -447,7 +455,8 @@ class Cyclo:
         return f"Cyclo({self.n}, {self.text()!r})"
 
     def n_terms(self) -> int:
-        return sum(1 for a in self.num if a)
+        """The number of printed (power-basis) terms."""
+        return sum(1 for c in self.coeffs if c)
 
 
 def _coerce(x) -> Cyclo:

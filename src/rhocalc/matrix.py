@@ -12,7 +12,7 @@ import math
 import operator
 
 from .algebra import Context, GradedPoly, adjoin_eps, lift_poly
-from .cyclo import Cyclo, basis_mul, root
+from .cyclo import Cyclo, _slot_maps, _times_slot, root
 from .errors import (GradingViolation, MixedParity, NonzeroDegree,
                      NotInvertible, NotSplitTuple, ShapeMismatch,
                      TruncationRequired)
@@ -212,20 +212,19 @@ class _Walk:
     """The permutation walk of a determinant, on integer vectors at one
     conductor N.
 
-    A word maps monomials to (tag, num).  num maps the slots of the tensor
-    basis of Q(zeta_N) (see `cyclo.root`) to numerators over the product of
-    the walked rows' denominators (each row is scaled by the lcm of its
-    coefficients' denominators); a root of unity has at most p - 1 terms
-    per prime power p^k of N there, so a step costs what its nonzero
-    numerators cost, whatever N is.  tag is the conductor that `Cyclo`
-    arithmetic would have stored: the lcm of the factors' tags, where an
-    entry coefficient's tag is its conductor and a root zeta_M^p has tag
-    M / gcd(p, M).  N is the lcm of the entry conductors and of the order
-    of the roots the phases can reach.  A coefficient becomes a `Cyclo`
-    only when the walk ends, stored at its tag by `Cyclo.from_ints` (the
-    inverse of `Cyclo.ints` and of `lift`); a `Cyclo`'s text depends only
-    on its value and its stored conductor, so the output is that of the
-    `Cyclo` walk.
+    A word maps monomials to (tag, num).  num maps the tensor slots of
+    Q(zeta_N), the slots a `Cyclo` stores (see `cyclo.root`), to numerators
+    over the product of the walked rows' denominators (each row is scaled
+    by the lcm of its coefficients' denominators); a root of unity has at
+    most p - 1 terms per prime power p^k of N there, so a step costs what
+    its nonzero numerators cost, whatever N is.  tag is the conductor that
+    `Cyclo` arithmetic would have stored: the lcm of the factors' tags,
+    where an entry coefficient's tag is its conductor and a root zeta_M^p
+    has tag M / gcd(p, M).  N is the lcm of the entry conductors and of the
+    order of the roots the phases can reach.  A coefficient becomes a
+    `Cyclo` only when the walk ends, stored at its tag by `Cyclo.from_ints`
+    (the inverse of `lift`); a `Cyclo`'s text depends only on its value and
+    its stored conductor, so the output is that of the `Cyclo` walk.
 
     With t-phases (big_n, tt, tv; see `rho_det`), each term pair of
     word * f_kl is scaled by zeta_big_n^p * zeta_big_n^q, two roots that
@@ -249,10 +248,11 @@ class _Walk:
         self.n = n = math.lcm(big_n // g, *[c.n for _, c in flat])
         self.dens = [math.lcm(*[c.den for e in row for c in e.terms.values()])
                      for row in grid]
-        # per entry term: (monomial, t-phases, tag, (slot, numerator) pairs
-        # of c at n times the row's denominator, memo of _scaled)
+        # per entry term: (monomial, t-phases, tag, c's (slot, numerator)
+        # pairs moved to n by `lift`'s slot map, times den / c.den, memo)
         self.terms = [[[(m, [sum(map(operator.mul, m, t)) for t in tv] if tv else None,
-                         c.n, [(j, x * (den // c.den)) for j, x in c.ints(n).items()], {})
+                         c.n, [(_slot_maps(c.n, n)[0][j], x * (den // c.den))
+                               for j, x in enumerate(c.num) if x], {})
                         for m, c in e.terms.items()] for e in row]
                       for row, den in zip(grid, self.dens)]
 
@@ -312,7 +312,7 @@ class _Walk:
                     try:
                         col = cols[i]
                     except KeyError:
-                        col = cols[i] = _column(self.n, u, i)
+                        col = cols[i] = _times_slot(self.n, u, i)
                     for slot, y in col:
                         v[slot] = v.get(slot, 0) + ai * y
         return {m: acc for m, acc in out.items() if any(acc[1].values())}
@@ -380,16 +380,6 @@ class _Walk:
     def _poly(self, acc: dict, den: int) -> GradedPoly:
         return GradedPoly._clean(self.ctx, {m: Cyclo.from_ints(self.n, w, den, t)
                                             for m, (t, w) in acc.items()})
-
-
-def _column(n: int, u, i: int) -> list:
-    """The nonzero (slot, numerator) pairs of u times tensor slot i of
-    Q(zeta_n), for u given by its pairs."""
-    out: dict = {}
-    for s, x in u:
-        for slot, y in basis_mul(n, s, i):
-            out[slot] = out.get(slot, 0) + x * y
-    return [(slot, x) for slot, x in out.items() if x]
 
 
 def rho_det(f: GradedMatrix) -> GradedPoly:

@@ -109,8 +109,13 @@ def test_lift_rejects_non_multiple():
         Cyclo.root_of_unity(4).lift(6)
 
 
+def _slots(value, n):
+    """value's nonzero tensor-slot numerators at conductor n."""
+    return {j: x for j, x in enumerate(value.lift(n).num) if x}
+
+
 def _descend(value, d):
-    return Cyclo.from_ints(value.n, value.ints(value.n), value.den, d)
+    return Cyclo.from_ints(value.n, _slots(value, value.n), value.den, d)
 
 
 def test_from_ints_stores_a_value_at_a_divisor_or_raises():
@@ -131,7 +136,7 @@ def test_from_ints_stores_a_value_at_a_divisor_or_raises():
 def test_power_reduces_z_to_the_e(n):
     assert totient(n) == len(cyclotomic_poly(n)) - 1
     for e in range(-n, 2 * n):
-        want = Cyclo.root_of_unity(n, e).num
+        want = Cyclo.root_of_unity(n, e).coeffs
         assert dict(power(n, e)) == {i: a for i, a in enumerate(want) if a}
         if n & (n - 1) == 0:
             assert len(power(n, e)) == 1 and power(n, e)[0][1] in (1, -1)
@@ -146,8 +151,8 @@ def test_tensor_basis_multiplies_as_cyclo_does(n):
     for _ in range(4):
         a, b = (Cyclo(n, [rng.randint(-3, 3) for _ in range(totient(n))]) for _ in "ab")
         prod: dict = {}
-        for s, x in a.ints(n).items():
-            for r, y in b.ints(n).items():
+        for s, x in _slots(a, n).items():
+            for r, y in _slots(b, n).items():
                 for t, z in basis_mul(n, s, r):
                     prod[t] = prod.get(t, 0) + x * y * z
         assert Cyclo.from_ints(n, prod, 1, n) == a * b
@@ -171,8 +176,8 @@ def test_conductor_factoring_stops_instead_of_hanging():
 
 def test_roots_and_descent_stay_linear_at_a_large_conductor():
     # conductor 2 * 10007 (phi 10006): a rational and 3/2 - zeta(10007)/4
-    # come back from their tensor numerators with no table quadratic in the
-    # conductor (no lift, which reduces by Phi_20014, is used here)
+    # come back from their tensor numerators, lift and multiply with no
+    # table quadratic in the conductor; only the printed form divides
     n, p = 20014, 10007
     tracemalloc.start()
     try:
@@ -183,9 +188,20 @@ def test_roots_and_descent_stay_linear_at_a_large_conductor():
             num[slot] = num.get(slot, 0) + c
         with pytest.raises(ValueError, match="not in"):
             Cyclo.from_ints(n, num, 4, 1)
-        assert Cyclo.from_ints(n, num, 4, p).text() == "3/2 - 1/4*zeta(10007)"
+        value = Cyclo.from_ints(n, num, 4, p)
+        assert value.text() == "3/2 - 1/4*zeta(10007)"
+        assert value.lift(n).text() == "3/2 - 1/4*zeta(20014)^2"
+        assert _descend(value.lift(n), p).num == value.num
         dense = Cyclo.from_ints(n, dict(root(n, -2)), 1, p)    # zeta(10007)^-1
         assert dense.n == p and dense.n_terms() == p - 1
+        assert dense.lift(n).text() == "-zeta(20014)^10005"
+        z = Cyclo.root_of_unity(p, -1)
+        chain = z * z * (Fraction(3, 2) + Cyclo.root_of_unity(p))
+        assert chain == Cyclo(p, [0] * (p - 2) + [Fraction(3, 2), 1])
+        text = chain.text()     # 3/2 zeta^-2 + zeta^-1, zeta^-1 = -1 - ... - zeta^10005
+        assert text.startswith("-1 - zeta(10007) - zeta(10007)^2 - ")
+        assert text.endswith(" - zeta(10007)^10004 + 1/2*zeta(10007)^10005")
+        assert chain.n_terms() == p - 1
         elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -342,6 +342,24 @@ def test_trunc_statement_and_env(tmp_path):
     assert doc["reports"][-1]["diagnostics"]["truncation"] == 3
 
 
+def test_printed_terms_decide_the_parentheses():
+    # a coefficient is parenthesised when it prints as more than one term:
+    # zeta(3) is stored as two tensor slots (zeta(3)^-1 and 1) but prints
+    # as one power-basis term
+    reports, ok = run_text("group Z/2; factor super;\n"
+                           "chart U { base x; base z invertible; }\n"
+                           "normalize zeta(3) * x on U;\n"
+                           "normalize zeta(3)^2 * x on U;\n"
+                           "normalize zeta(5)^4 * x + zeta(15)^7 on U;\n"
+                           "normalize zeta(12)^5 * z^-1 on U;\n")
+    assert ok
+    assert [r.result["value"] for r in reports[3:]] == [
+        "zeta(3) * x",
+        "(-1 - zeta(3)) * x",
+        "zeta(15)^7 + (-1 - zeta(5) - zeta(5)^2 - zeta(5)^3) * x",
+        "(-zeta(12) + zeta(12)^3) * z^-1"]
+
+
 def test_cli_prints_values_past_the_int_str_digit_limit(tmp_path):
     # each literal is within the tokenizer's digit limit; the products are
     # 8000 digits long, (10^4000 - 1)^2 = 9..980..01

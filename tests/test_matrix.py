@@ -1074,10 +1074,10 @@ def test_rho_det_with_root_scalars_matches_the_permutation_sum(family, truncatio
     assert_same_bytes(rho_det(f), permutation_rho_det(f))
 
 
-def _prime_torus_case(n, rng):
-    """A degree-0 matrix over theta = 2/10007 on the torus slots, the
-    diagonal with a scalar and about one entry in five set to zero."""
-    plain = _twisted_torus_context(Fraction(2, 10007))
+def _prime_torus_case(n, rng, theta=Fraction(2, 10007)):
+    """A degree-0 matrix over theta (default 2/10007) on the torus slots,
+    the diagonal with a scalar and about one entry in five set to zero."""
+    plain = _twisted_torus_context(theta)
     ctx = Context(plain.factor, plain.variables, name="torus10007")
     g = ctx.factor.group
     degs = tuple(g.degree(*s) for s in _TORUS_SLOTS[:n])
@@ -1089,13 +1089,16 @@ def _prime_torus_case(n, rng):
 
 
 def test_det_and_ber_at_a_prime_conductor_near_ten_thousand():
-    # zeta(10007)^2 between mixed variables: the even tuple's t-factor has
-    # conductor 20014, and the walk's roots, products and descent stay
-    # linear in it (a table of Phi_N-reduced powers and a phi(N)-square
-    # descent matrix per walk took about 10 GB here); theta = 2/10007
-    # keeps the oracles' power-basis roots one term each
+    # zeta(10007)^2 or zeta(10007) between mixed variables: the even tuple's
+    # t-factor has conductor 20014, and the walk's roots, products and
+    # descent stay linear in it (a table of Phi_N-reduced powers and a
+    # phi(N)-square descent matrix per walk took about 10 GB here); over
+    # theta = 1/10007 the oracles' roots such as zeta(10007)^-1 are 10006
+    # power-basis terms, which their Cyclo arithmetic never expands
     cases = [_prime_torus_case(2 + seed % 3, random.Random(f"p10007/{seed}"))
              for seed in range(8)]
+    cases += [_prime_torus_case(2 + seed % 2, random.Random(f"p10007/1/{seed}"),
+                                Fraction(1, 10007)) for seed in range(4)]
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -1109,3 +1112,30 @@ def test_det_and_ber_at_a_prime_conductor_near_ten_thousand():
         assert_same_bytes(ber, adjugate_rho_ber(f))
     conductors = {c.n for det, _ in got for c in det.terms.values()}
     assert {10007, 20014} <= conductors, conductors
+
+
+def test_only_the_printed_form_divides_by_the_cyclotomic_polynomial(monkeypatch):
+    # a Cyclo computes in the tensor basis, where no sum, product, lift,
+    # inverse or descent divides by Phi_N; the power basis is only printed
+    def no_division(*args):
+        raise RuntimeError("divided by a cyclotomic polynomial")
+
+    monkeypatch.setattr(cyclo, "_divmod", no_division)
+    cyclo.power.cache_clear()
+    rng = random.Random("no division")
+    for n in (15, 21, 24, 105):
+        a = Cyclo(n, [rng.randint(-3, 3) for _ in range(cyclo.totient(n))])
+        b = Cyclo.root_of_unity(n, 7) + Fraction(1, 2)
+        s, p = a + b, a * b
+        assert p * b.inverse() == a and s - b == a
+        assert a * a.inverse() == 1
+        up = p.lift(2 * n)
+        back = Cyclo.from_ints(2 * n, {j: x for j, x in enumerate(up.num) if x},
+                               up.den, n)
+        assert back.num == p.num and back.den == p.den
+        f = _det_case(f"torus{n}", 3, rng)
+        rho_det(f), rho_ber(f)
+    f = _prime_torus_case(3, random.Random("p10007/1/1"), Fraction(1, 10007))
+    rho_det(f), rho_ber(f)
+    with pytest.raises(RuntimeError, match="divided"):
+        Cyclo.root_of_unity(3, 2).text()

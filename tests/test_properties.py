@@ -253,5 +253,17 @@ def test_from_ints_inverts_lift_up_to_conductor_120(case):
     d, a = case
     for m in range(d, 121, d):
         b = a.lift(m)
-        b = Cyclo.from_ints(m, b.ints(m), b.den, d)
+        b = Cyclo.from_ints(m, {j: x for j, x in enumerate(b.num) if x}, b.den, d)
         assert (b.n, b.num, b.den) == (a.n, a.num, a.den), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=120).flatmap(cyclo_elements))
+def test_power_basis_is_the_printed_form(v):
+    # coeffs reads the stored tensor slots back in the power basis, and
+    # n_terms counts the printed terms, not the stored slots
+    again = Cyclo(v.n, v.coeffs)
+    assert again == v and again.text() == v.text()
+    text = v.text()
+    printed = 0 if text == "0" else 1 + text.count(" + ") + text.count(" - ")
+    assert v.n_terms() == printed
