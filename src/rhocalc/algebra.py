@@ -610,12 +610,13 @@ def poly_text(f: GradedPoly) -> str:
             stxt = fraction_text(mag)
             if body and mag == 1:
                 stxt = ""
-        elif c.n_terms() == 1:
-            stxt = c.text()
-            if stxt.startswith("-"):
-                neg, stxt = True, stxt[1:]
         else:
-            stxt = f"({c.text()})"
+            parts = c.printed_terms()
+            if len(parts) == 1:
+                (sign, stxt), = parts
+                neg = sign == "-"
+            else:
+                stxt = f"({signed_sum(parts)})"
         term = " * ".join(x for x in (stxt, body) if x)
         chunks.append(("-" if neg else "+", term))
     return signed_sum(chunks)

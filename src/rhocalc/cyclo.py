@@ -437,6 +437,11 @@ class Cyclo:
         Not canonical: equal values print differently when the arithmetic
         that made them lifted to different conductors (zeta(4) times
         zeta(8)/zeta(8) prints as zeta(8)^2)."""
+        return signed_sum(self.printed_terms())
+
+    def printed_terms(self) -> list[tuple[str, str]]:
+        """The (sign, magnitude) pairs of `text`, one per nonzero
+        power-basis coefficient: one conversion from the stored slots."""
         parts = []
         for k, c in enumerate(self.coeffs):
             if c == 0:
@@ -449,14 +454,14 @@ class Cyclo:
                 zk = f"zeta({self.n})" if k == 1 else f"zeta({self.n})^{k}"
                 mag = zk if ac == 1 else f"{fraction_text(ac)}*{zk}"
             parts.append((sign, mag))
-        return signed_sum(parts)
+        return parts
 
     def __repr__(self):
         return f"Cyclo({self.n}, {self.text()!r})"
 
     def n_terms(self) -> int:
         """The number of printed (power-basis) terms."""
-        return sum(1 for c in self.coeffs if c)
+        return len(self.printed_terms())
 
 
 def _coerce(x) -> Cyclo:

@@ -202,12 +202,6 @@ def _fold(acc: dict, word: dict) -> None:
             del acc[m]
 
 
-# the most prefix words `inverse` keeps from its determinant's walk for the
-# cofactors' walk: a dense 5x5 has 205 and keeps them all, a 6x6 has 1,236
-# and keeps its first four levels (516); an 8x8 would hold about 69,000
-PREFIX_CAP = 1024
-
-
 class _Walk:
     """The permutation walk of a determinant, on integer vectors at one
     conductor N.
@@ -317,36 +311,24 @@ class _Walk:
                         v[slot] = v.get(slot, 0) + ai * y
         return {m: acc for m, acc in out.items() if any(acc[1].values())}
 
-    def expand(self, rows, cols, prefixes: dict | None = None,
-               cofactors: bool = False) -> dict:
-        """{None: the determinant of the rows x cols minor}, or with
-        cofactors {(k, l): the minor without column k and row l} for every
-        such pair, all from one depth-first walk.
+    def expand(self, rows, cols, cofactors: bool = False) -> dict:
+        """{None: the determinant of the rows x cols minor}, and with
+        cofactors also {(k, l): the minor without column k and row l} for
+        every such pair, all from one depth-first walk.
 
         The walk is in lexicographic column order: each prefix word, keyed
-        by its rows and its used columns, is computed once and zero prefixes
-        are pruned.  A cofactor's rows skip row l; its prefixes before l are
-        the determinant's, and the sign reads the actual column indices, so
-        a shared prefix is the same word.  The determinant's walk stores its
-        prefix words in `prefixes` (keyed by the used columns) and the
-        cofactors' walk takes them out as it reads them, so a caller can
-        test the determinant before the cofactors are walked.  Only the
-        levels whose prefix counts n, n(n-1), ..., summed from the top, stay
-        within `PREFIX_CAP` are stored; the cofactors walk the deeper
-        prefixes again.  Each minor folds its leaf words in its own walk
-        order, the left fold of its plain permutation sum.  The 0x0 minor
-        walks one empty word, 1.
+        by its rows and its used columns, is computed once and zero prefix
+        words are pruned.  At each level the cofactors that skip this row
+        branch off first, then the columns are walked; a cofactor's prefix
+        words before its skipped row are the determinant's, and the sign
+        reads the actual column indices, so a shared prefix is the same
+        word.  The walk holds one word per level.  Each minor folds its leaf
+        words in its own walk order, the left fold of its plain permutation
+        sum.  The 0x0 minor walks one empty word, 1.
         """
         rows, cols = tuple(rows), tuple(cols)
         last = len(rows) - 1
         folds: dict = {}
-        keep, count, total = 0, 1, 0
-        while keep < last:
-            count *= len(cols) - keep
-            total += count
-            if total > PREFIX_CAP:
-                break
-            keep += 1
 
         def walk(word, j, used, skipped):
             if j > last:
@@ -356,26 +338,19 @@ class _Walk:
                 return
             if cofactors and skipped is None:
                 walk(word, j + 1, used, rows[j])
-                if j == last:
-                    return      # the determinant's own leaves
             for col in cols:
                 if col not in used:
-                    key = used + (col,)
-                    kept = prefixes is not None and skipped is None and j < keep
-                    nxt = prefixes.pop(key, None) if kept and cofactors else None
-                    if nxt is None:
-                        nxt = self.step(word, rows[j], col, used)
-                        if kept and not cofactors:
-                            prefixes[key] = nxt
+                    nxt = self.step(word, rows[j], col, used)
                     if nxt:
-                        walk(nxt, j + 1, key, skipped)
+                        walk(nxt, j + 1, used + (col,), skipped)
 
         walk({self.ctx.zero_mono(): (1, {0: 1})}, 0, (), None)
         den = math.prod([self.dens[r] for r in rows])
-        if not cofactors:
-            return {None: self._poly(folds.get(None, {}), den)}
-        return {(k, l): self._poly(folds.get((k, l), {}), den // self.dens[l])
-                for k in cols for l in rows}
+        out = {None: self._poly(folds.get(None, {}), den)}
+        if cofactors:
+            out.update({(k, l): self._poly(folds.get((k, l), {}), den // self.dens[l])
+                        for k in cols for l in rows})
+        return out
 
     def _poly(self, acc: dict, den: int) -> GradedPoly:
         return GradedPoly._clean(self.ctx, {m: Cyclo.from_ints(self.n, w, den, t)
@@ -430,12 +405,9 @@ def inverse(f: GradedMatrix) -> GradedMatrix:
     Split off the filtration-free part (a matrix over the commuting Laurent
     coefficients), invert it by the classical adjugate, and complete by a
     geometric series in the filtration ideal.  The adjugate's determinant and
-    its n^2 cofactors come from walks of one Laurent grid (`_Walk.expand`)
-    that compute each prefix word (row prefix, used columns) once: 1,030
-    steps for a 5x5 instead of 1,925 for 26 walks.  The determinant is
-    walked first, so a singular Laurent part raises before any cofactor;
-    it keeps its prefix words for the cofactors up to `PREFIX_CAP` of
-    them.
+    its n^2 cofactors come from one walk of the Laurent grid
+    (`_Walk.expand`) that computes each prefix word (row prefix, used
+    columns) once: 1,030 steps for a 5x5 instead of 1,925 for 26 walks.
     Raises NotInvertible when the Laurent part is singular and
     TruncationRequired when the series does not terminate and no truncation
     order is set.
@@ -455,9 +427,8 @@ def inverse(f: GradedMatrix) -> GradedMatrix:
     if n == 0:
         return f
     free = f.map_entries(lambda e: e.i_free_part())
-    walk, prefixes = _Walk(ctx, free), {}
-    det0_inv = walk.expand(range(n), range(n), prefixes)[None].invert()
-    cofs = walk.expand(range(n), range(n), prefixes, cofactors=True)
+    cofs = _Walk(ctx, free).expand(range(n), range(n), cofactors=True)
+    det0_inv = cofs[None].invert()
     adj = [[cofs[k, l].scale((-1) ** (k + l)) * det0_inv for l in range(n)]
            for k in range(n)]
     f0inv = GradedMatrix(ctx, f.rows, f.rows, f.degree, adj)
@@ -560,12 +531,8 @@ def rho_det_properties_check(f: GradedMatrix, g: GradedMatrix,
         mixed = with_row(f, g.entries[0])
         added = with_row(f, [a + b for a, b in zip(f.entries[0], g.entries[0])])
         report["row_additive"] = (rho_det(added) == det_f + rho_det(mixed))
-        if isinstance(scale_by, GradedPoly):
-            scaled = with_row(f, [scale_by * e for e in f.entries[0]])
-            report["row_scaling"] = (rho_det(scaled) == scale_by * det_f)
-        else:
-            scaled = with_row(f, [e.scale(scale_by) for e in f.entries[0]])
-            report["row_scaling"] = (rho_det(scaled) == det_f.scale(scale_by))
+        scaled = with_row(f, [e.scale(scale_by) for e in f.entries[0]])
+        report["row_scaling"] = (rho_det(scaled) == det_f.scale(scale_by))
     report["repeated_row_zero"] = (f.nrows < 2
                                    or rho_det(with_row(f, f.entries[1])).is_zero())
     report["ok"] = all(report[k] for k in

@@ -299,6 +299,20 @@ def test_poly_text_is_sorted_and_stable(sctx):
     assert poly_text(g) == "zeta(4) * z^-1"
 
 
+def test_poly_text_converts_each_coefficient_once(monkeypatch):
+    # each non-rational coefficient reads its power-basis form once, both to
+    # count its printed terms and to print them
+    evaluations = []
+    coeffs = Cyclo.coeffs
+    monkeypatch.setattr(Cyclo, "coeffs", property(
+        lambda self: evaluations.append(self.n) or coeffs.fget(self)))
+    ctx = torus8_context()
+    z8 = Cyclo.root_of_unity(8)
+    f = ctx.gen("u2").scale(1 + z8) + ctx.gen("u1").scale(z8)
+    assert poly_text(f) == "(1 + zeta(8)) * u2 + zeta(8) * u1"
+    assert evaluations == [8, 8]
+
+
 def test_prime_context_preserves_products(rng):
     ctx = super_context()
     big = prime_context(ctx, [])

@@ -817,40 +817,38 @@ def test_inverse_walks_each_shared_prefix_once(monkeypatch, rng):
     for got_row, want_row in zip(got.entries, adjugate_inverse(f).entries):
         for a, b in zip(got_row, want_row):
             assert_same_bytes(a, b)
-    # a singular Laurent part raises after the determinant's 325 steps,
-    # before any cofactor is walked
+    # a singular Laurent part raises after the same one walk: the
+    # determinant's leaves and the cofactors' come from one pass
     del steps[:]
     ents = [list(row) for row in f.entries]
     ents[1] = ents[0]
     with pytest.raises(NotInvertible):
         inverse(GradedMatrix(ctx, degs, degs, g.zero(), ents))
-    assert len(steps) <= 325
+    assert len(steps) <= 1030
 
 
-def test_inverse_keeps_at_most_prefix_cap_words(monkeypatch, rng):
-    # a dense 6x6 has 1,236 prefix words above its leaves; inverse keeps the
-    # levels that fit in PREFIX_CAP (516 words) and empties the store in the
-    # cofactors' walk, so its memory does not grow like n!
-    kept = []
-    expand = matrix._Walk.expand
-
-    def spy(self, rows, cols, prefixes=None, cofactors=False):
-        out = expand(self, rows, cols, prefixes, cofactors)
-        kept.append(len(prefixes))
-        return out
-
-    monkeypatch.setattr(matrix._Walk, "expand", spy)
+def test_inverse_walks_the_determinant_and_its_cofactors_in_one_pass(monkeypatch,
+                                                                     rng):
+    # the determinant's leaves fold in the cofactors' walk, so no prefix
+    # word is walked twice, however many levels the grid has
+    steps = []
+    step = matrix._Walk.step
+    monkeypatch.setattr(matrix._Walk, "step",
+                        lambda self, *a: steps.append(a[1:]) or step(self, *a))
     ctx = super_context()
     g = ctx.factor.group
-    degs = (g.zero(),) * 6
-    f = GradedMatrix(ctx, degs, degs, g.zero(),
-                     [[ctx.scalar(random_scalar(rng)) + ctx.gen("xi") * ctx.gen("eta")
-                       for _ in range(6)] for _ in range(6)])
-    got = inverse(f)
-    assert kept == [516, 0] and 516 <= matrix.PREFIX_CAP < 1236
-    for got_row, want_row in zip(got.entries, adjugate_inverse(f).entries):
-        for a, b in zip(got_row, want_row):
-            assert_same_bytes(a, b)
+    for n, bound in ((6, 7422), (7, 60620)):
+        degs = (g.zero(),) * n
+        f = GradedMatrix(ctx, degs, degs, g.zero(),
+                         [[ctx.scalar(random_scalar(rng)) + ctx.gen("xi") * ctx.gen("eta")
+                           for _ in range(n)] for _ in range(n)])
+        del steps[:]
+        got = inverse(f)
+        assert len(steps) <= bound, n
+        if n == 6:
+            for got_row, want_row in zip(got.entries, adjugate_inverse(f).entries):
+                for a, b in zip(got_row, want_row):
+                    assert_same_bytes(a, b)
 
 
 def test_rho_det_is_multiplicative_on_small_torus8_tuples():
@@ -913,6 +911,81 @@ def test_rho_det_matches_sympy_on_commuting_entries(rng):
             want = sum((c * x ** i * z ** j * e ** k
                         for (i, j, k), c in want.terms() if k < 2), sympy.Integer(0))
             assert sympy.expand(_sympy_expr(sympy, got, symbols) - want) == 0, n
+
+
+def _unit_block(ctx, rng, n, monos, diagonal):
+    """L U over commuting entries: L unit lower-triangular with entries on
+    monos, U diagonal with diagonal() on its diagonal, so det = prod U_kk."""
+    def entry():
+        return GradedPoly(ctx, {m: Cyclo.rational(random_scalar(rng))
+                                for m in rng.sample(monos, rng.randint(0, 2))})
+
+    low = [[ctx.one() if k == l else entry() if l < k else ctx.zero()
+            for l in range(n)] for k in range(n)]
+    diag = [diagonal() for _ in range(n)]
+    return [[low[k][l] * diag[l] for l in range(n)] for k in range(n)]
+
+
+def test_inverse_matches_sympy_on_commuting_laurent_entries():
+    # the trivial factor over base x and invertible z: every entry commutes,
+    # the determinant of L U is a Laurent monomial, and the one walk's
+    # adjugate over it is sympy's matrix inverse
+    sympy = pytest.importorskip("sympy")
+    x, z = sympy.symbols("x z")
+    fac = trivial_factor(GroupSpec(1))
+    g = fac.group
+    ctx = Context(fac, [Var("x", g.zero(), "base"),
+                        Var("z", g.zero(), "base", invertible=True)])
+    monos = [(a, b) for a in range(2) for b in range(-1, 2)]
+    rng = random.Random("inverse-sympy")
+
+    def monomial():
+        return ctx.monomial(Cyclo.rational(random_scalar(rng)), {"z": rng.randint(-2, 2)})
+
+    for n in range(1, 6):
+        for _ in range(3):
+            degs = (g.zero(),) * n
+            ents = _unit_block(ctx, rng, n, monos, monomial)
+            got = inverse(GradedMatrix(ctx, degs, degs, g.zero(), ents))
+            want = sympy.Matrix([[_sympy_expr(sympy, p, (x, z)) for p in row]
+                                 for row in ents]).inv()
+            for k in range(n):
+                for l in range(n):
+                    diff = _sympy_expr(sympy, got.entries[k][l], (x, z)) - want[k, l]
+                    assert sympy.cancel(diff) == 0, (n, k, l)
+
+
+def test_rho_ber_matches_sympy_on_block_diagonal_even_entries(sctx):
+    # a block-diagonal super matrix whose blocks have even entries in x, z
+    # and e = xi*eta: rho_ber is det(A) / det(D), and since e^2 = 0 the two
+    # agree in their Taylor terms of order 0 and 1 in e
+    sympy = pytest.importorskip("sympy")
+    x, z, e = sympy.symbols("x z e")
+    symbols = (x, z, e, None)
+    g = sctx.factor.group
+    monos = [(a, b, c, c) for a in range(2) for b in range(-1, 2) for c in range(2)]
+    rng = random.Random("ber-sympy")
+
+    def unit():
+        return GradedPoly(sctx, {(0, rng.randint(-2, 2), 0, 0): Cyclo.rational(random_scalar(rng)),
+                                 (0, 0, 1, 1): Cyclo.rational(random_scalar(rng))})
+
+    for a, d in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (0, 2), (2, 0)]:
+        blocks = _unit_block(sctx, rng, a, monos, unit), _unit_block(sctx, rng, d, monos, unit)
+        n = a + d
+        ents = [[sctx.zero()] * n for _ in range(n)]
+        for off, block in zip((0, a), blocks):
+            for k, row in enumerate(block):
+                ents[off + k][off:off + len(row)] = row
+        degs = tuple(g.degree(0 if k < a else 1) for k in range(n))
+        got = _sympy_expr(sympy, rho_ber(GradedMatrix(sctx, degs, degs, g.zero(), ents)),
+                          symbols)
+        det_a, det_d = (sympy.Matrix([[_sympy_expr(sympy, p, symbols) for p in row]
+                                      for row in block]).det() if block else 1
+                        for block in blocks)
+        for order in (0, 1):
+            assert sympy.cancel(sympy.diff(got - det_a / det_d, e, order).subs(e, 0)) == 0, \
+                (a, d, order)
 
 
 def _root_scalar(rng, conductors):
