@@ -2,7 +2,7 @@
 
 from .cyclo import Cyclo
 from .grading import (CommutationFactor, Degree, GroupSpec, super_factor,
-                      torus_factor, trivial_factor, validate_factor)
+                      torus_factor, trivial_factor)
 from .algebra import (Context, GradedPoly, Var, lift_poly, prime_context,
                       rho_commutator, substitute)
 from .derivation import (Derivation, LieStructure, ce_differential, commutator,

@@ -381,12 +381,6 @@ class GradedPoly:
         return GradedPoly(self.ctx, {m: c for m, c in self.terms.items()
                                      if self.ctx.mono_degree(m) == d})
 
-    def i_order(self) -> int | None:
-        """Least filtration order among terms (None for the zero polynomial)."""
-        if not self.terms:
-            return None
-        return min(self.ctx.i_order(m) for m in self.terms)
-
     def i_free_part(self) -> "GradedPoly":
         return GradedPoly(self.ctx, {m: c for m, c in self.terms.items()
                                      if self.ctx.i_order(m) == 0})

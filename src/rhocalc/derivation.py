@@ -60,10 +60,8 @@ class Derivation:
     def __eq__(self, other):
         if not isinstance(other, Derivation):
             return NotImplemented
-        if self.ctx != other.ctx or self.degree != other.degree:
-            return False
-        keys = set(self.components) | set(other.components)
-        return all(self.component(a) == other.component(a) for a in keys)
+        return (self.ctx == other.ctx and self.degree == other.degree
+                and self.components == other.components)
 
     __hash__ = None
 

@@ -23,7 +23,7 @@ from .geometry import (Atlas, Chart, TransitionMap, cartan_report,
                        de_rham, jacobian, make_chart, schouten,
                        shifted_cotangent, tangent_bundle)
 from .grading import (CommutationFactor, Degree, GroupSpec, super_factor,
-                      torus_factor, trivial_factor, validate_factor)
+                      torus_factor, trivial_factor)
 from .matrix import GradedMatrix, rho_ber, rho_det, rho_tr
 from .scenarios import SCENARIOS, builtin_scenarios
 from .volume import (DEGREE_BOUND, VolumeForm, divergence, modular_class,
@@ -38,11 +38,16 @@ KEYWORDS = COMMANDS | {"group", "factor", "trunc", "chart", "transition",
                        "cotangent", "bundle"}
 
 # Fixed-shape statements.  After the keyword, a string is a literal token and
-# a tuple (key, kind[, expected]) reads one field of that kind (a key of
-# Parser.FIELDS) into the statement record; a name field that is missing is
-# reported as `expected` (default "a name").
+# a tuple (key, kind, *args) reads one field into the statement record with
+# the reader Parser.FIELDS[kind], passing it args; a name field that is
+# missing is reported as args[0] (default "a name").
 _CHART = ("ctx", "name", "a chart name")
 SHAPES = {
+    "group": (("group", "group"), ";"),
+    "transition": (("name", "name", "a transition name"), ":",
+                   ("source", "name", "a chart name"), "->",
+                   ("target", "name", "a chart name"), "{",
+                   ("images", "bindings", "a target coordinate", "=")),
     "derham": (("name", "name", "a chart name"), "of",
                ("base", "name", "a chart name"), ";"),
     "cotangent": (("name", "name", "a chart name"), "of",
@@ -59,6 +64,7 @@ SHAPES = {
                  ("f", "poly"), ",", ("g", "poly"), ";"),
     "divergence": (("q", "name"), ("vol", "name"), ";"),
     "equivalent": (("a", "name"), ("b", "name"), ";"),
+    "modular": (("q", "name"), ("vol", "name"), ("bound", "bound"), ";"),
     **{kw: (("target", "name"), ";")
        for kw in ("det", "ber", "trace", "jacobian", "cocycle")},
 }
@@ -301,10 +307,6 @@ class Parser:
 
     # -- statements
 
-    FIELDS = {"name": name, "poly": poly_expr, "deg": degree_literal,
-              "degs": degree_tuple_literal,
-              "grid": lambda self: self.grid(self.poly_expr)}
-
     def parse_session(self) -> list[dict]:
         stmts = []
         while self.peek().kind != "eof":
@@ -365,11 +367,6 @@ class Parser:
                 break
         return GroupSpec(free, tuple(torsion))
 
-    def stmt_group(self):
-        g = self.group_expr()
-        self.expect(";")
-        return {"group": g}
-
     def stmt_factor(self):
         t = self.name("a factor form (super, trivial, torus, phases)")
         st: dict = {"form": t.text}
@@ -415,16 +412,6 @@ class Parser:
             self.expect(";")
         return {"name": name, "coords": coords}
 
-    def stmt_transition(self):
-        name = self.name("a transition name")
-        self.expect(":")
-        a = self.name("a chart name")
-        self.expect("->")
-        b = self.name("a chart name")
-        self.expect("{")
-        images = self.bindings("a target coordinate", "=")
-        return {"name": name, "source": a, "target": b, "images": images}
-
     def bindings(self, what: str, sep: str) -> list:
         """(name sep poly ';')* '}' as (name token, poly) pairs."""
         out = []
@@ -434,6 +421,17 @@ class Parser:
             out.append((v, self.poly_expr()))
             self.expect(";")
         return out
+
+    def bound(self) -> int | None:
+        """An optional 'bound' N, N a nonnegative integer."""
+        if not self.accept("bound"):
+            return None
+        return self.checked_integer(lambda v: v >= 0, "a nonnegative degree bound")
+
+    FIELDS = {"name": name, "poly": poly_expr, "deg": degree_literal,
+              "degs": degree_tuple_literal,
+              "grid": lambda self: self.grid(self.poly_expr),
+              "group": group_expr, "bindings": bindings, "bound": bound}
 
     def stmt_derivation(self):
         name = self.name("a derivation name")
@@ -511,16 +509,6 @@ class Parser:
             return {"form": "derham", "ctx": chart}
         self.expect(";")
         return {"form": "named", "target": t}
-
-    def stmt_modular(self):
-        q = self.name()
-        v = self.name()
-        bound = None
-        if self.accept("bound"):
-            bound = self.checked_integer(lambda v: v >= 0,
-                                         "a nonnegative degree bound")
-        self.expect(";")
-        return {"q": q, "vol": v, "bound": bound}
 
     def stmt_scenarios(self):
         which = self.name("a scenario name").text
@@ -679,7 +667,7 @@ class Runner:
             group = st.get("on_group") or s.group
             if group is None:
                 raise ResolveError("group (phases need a group)")
-            fac = validate_factor(group, st["matrix"])
+            fac = CommutationFactor(group, st["matrix"])
         s.factor = fac
         s.group = fac.group
         out = {"declared": "factor", "group": fac.group.describe(),
@@ -892,9 +880,8 @@ class Runner:
         flag, h = volumes_equivalent(s.lookup("volumes", st["a"]),
                                      s.lookup("volumes", st["b"]))
         out = {"equivalent": flag}
-        if flag and h is not None:
-            out["witness"] = h.text() if isinstance(h, GradedPoly) else {
-                k: v.text() for k, v in h.items()}
+        if flag:
+            out["witness"] = h.text()     # a session volume has one chart
         return out
 
     def exec_scenarios(self, st):

@@ -53,8 +53,6 @@ class GroupSpec:
         return parts[:r] + tuple(p % n for p, n in zip(parts[r:], self.torsion_orders))
 
     def degree(self, *parts) -> "Degree":
-        if len(parts) == 1 and isinstance(parts[0], (tuple, list)):
-            parts = tuple(parts[0])
         return Degree(self, self.reduce(parts))
 
     def zero(self) -> "Degree":
@@ -199,19 +197,11 @@ class CommutationFactor:
     def __repr__(self):
         return f"CommutationFactor({self.group.describe()}, {self.phases})"
 
-    def phases_text(self):
-        return [[str(x) for x in row] for row in self.phases]
-
     def to_json(self) -> dict:
         """Canonical serialization of the group and phase matrix."""
         return {"free_rank": self.group.free_rank,
                 "torsion": list(self.group.torsion_orders),
-                "phase": self.phases_text()}
-
-
-def validate_factor(group: GroupSpec, phases) -> CommutationFactor:
-    """Validate a rational phase matrix and return the commutation factor."""
-    return CommutationFactor(group, phases)
+                "phase": [[str(x) for x in row] for row in self.phases]}
 
 
 def super_factor(group: GroupSpec | None = None) -> CommutationFactor:

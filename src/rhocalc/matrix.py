@@ -392,13 +392,6 @@ def rho_det(f: GradedMatrix) -> GradedPoly:
     return _Walk(ctx, f.entries, big_n, tt, tv).expand(range(n), range(n))[None]
 
 
-def _laurent_det(ctx: Context, grid, rows, cols) -> GradedPoly:
-    """Determinant of the rows x cols minor of a grid of mutually commuting
-    entries: the walk without t's, whose sign is a rational negation (never
-    a conductor-2 root), so it moves no conductor."""
-    return _Walk(ctx, grid).expand(rows, cols)[None]
-
-
 def inverse(f: GradedMatrix) -> GradedMatrix:
     """Inverse of a degree-0 square matrix.
 
@@ -477,7 +470,7 @@ def rho_ber(f: GradedMatrix) -> GradedPoly:
         # f00 is invertible iff the determinant of its filtration-free part
         # is a Laurent unit, the test inverse() makes
         free00 = f00.map_entries(lambda e: e.i_free_part())
-        _laurent_det(ctx, free00, ev, ev).invert()
+        _Walk(ctx, free00).expand(ev, ev)[None].invert()
     except NotInvertible:
         return ctx.zero()
     schur = f00 - f01 @ f11_inv @ f10 if od else f00

@@ -25,7 +25,8 @@ from .linsolve import solve_linear
 
 @dataclass
 class VolumeForm:
-    """Chartwise densities s(x) against the canonical frame."""
+    """Chartwise densities s(x) against the canonical frame; a multi-chart
+    form is checked against the Berezinian rule when it is built."""
 
     atlas: Atlas
     densities: dict[str, GradedPoly]
@@ -39,6 +40,10 @@ class VolumeForm:
                 raise ContextMismatch(f"density on {name}")
             if not s.has_degree(chart.ctx.factor.group.zero()):
                 raise NotHomogeneous(f"density on {name} must have degree 0")
+        failures = self.compatibility_check()["failures"]
+        if failures:
+            a, b = failures[0]["charts"]
+            raise OverlapMismatch(f"densities break the Berezinian rule on overlap ({a},{b})")
 
     @staticmethod
     def on_chart(chart: Chart, density: GradedPoly) -> "VolumeForm":
@@ -50,9 +55,8 @@ class VolumeForm:
     def compatibility_check(self) -> dict:
         """s_a = Ber(J_ab) * pullback(s_b) on every declared overlap."""
         failures = []
-        for (a, b), t in self.atlas.maps.items():
-            if a == b:
-                continue
+        for a, b in self.atlas.pairs():
+            t = self.atlas.maps[a, b]
             lhs = self.densities[a]
             rhs = jacobian_berezinian(t) * t.pullback(self.densities[b])
             if lhs != rhs:
@@ -106,10 +110,8 @@ def divergence(x, vol: VolumeForm) -> dict[str, GradedPoly]:
     fields = _as_fields(x, vol.atlas)
     out = {name: divergence_on_chart(xc, vol.densities[name])
            for name, xc in fields.items()}
-    for (a, b), t in vol.atlas.maps.items():
-        if a == b or a not in out or b not in out:
-            continue
-        if out[a] != t.pullback(out[b]):
+    for a, b in vol.atlas.pairs():
+        if a in out and b in out and out[a] != vol.atlas.maps[a, b].pullback(out[b]):
             raise OverlapMismatch(f"divergence disagrees on overlap ({a},{b})")
     return out
 
@@ -334,9 +336,7 @@ def volumes_equivalent(v1: VolumeForm, v2: VolumeForm):
         if ratio.i_free_part() != ratio.ctx.one():
             return False, None
         hs[name] = ratio.log()
-    for (a, b), t in v1.atlas.maps.items():
-        if a == b:
-            continue
-        if hs[a] != t.pullback(hs[b]):
+    for a, b in v1.atlas.pairs():
+        if hs[a] != v1.atlas.maps[a, b].pullback(hs[b]):
             return False, None
     return True, hs[sorted(hs)[0]] if len(hs) == 1 else hs

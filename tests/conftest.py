@@ -11,8 +11,7 @@ import pytest
 from rhocalc.algebra import Context, GradedPoly, Var
 from rhocalc.cyclo import Cyclo
 from rhocalc.derivation import Derivation, LieStructure, ce_differential
-from rhocalc.grading import super_factor, torus_factor, GroupSpec
-from rhocalc.grading import validate_factor
+from rhocalc.grading import CommutationFactor, GroupSpec, super_factor, torus_factor
 
 
 @pytest.fixture
@@ -53,9 +52,9 @@ def chevalley_context():
 
     The prime context has conductor 8, even xi1 and xi3 and an odd xi2.
     """
-    fac = validate_factor(GroupSpec(2, (2,)), [[0, Fraction(1, 8), 0],
-                                               [-Fraction(1, 8), 0, 0],
-                                               [0, 0, Fraction(1, 2)]])
+    fac = CommutationFactor(GroupSpec(2, (2,)), [[0, Fraction(1, 8), 0],
+                                                 [-Fraction(1, 8), 0, 0],
+                                                 [0, 0, Fraction(1, 2)]])
     g = fac.group
     e1, e2 = g.degree(1, 0, 1), g.degree(0, 1, 0)
     lie = LieStructure(fac, (e1, e2, e1 + e2), g.zero(),
@@ -66,7 +65,7 @@ def chevalley_context():
 def zline_context(truncation=None) -> Context:
     """Z-graded: Laurent base, an odd generator, and even formals of
     opposite degrees (so the ideal has non-nilpotent degree-0 elements)."""
-    fac = validate_factor(GroupSpec(1), [[Fraction(1, 2)]])
+    fac = CommutationFactor(GroupSpec(1), [[Fraction(1, 2)]])
     g = fac.group
     return Context(fac, [Var("z", g.zero(), "base", invertible=True),
                          Var("th", g.degree(1), "odd"),

@@ -217,6 +217,48 @@ def test_modular_bound_argument():
     assert reports[-1].result["verdict"] == "exact"
 
 
+_SUPER_U = ("group Z/2; factor super;\n"
+            "chart U { base x; base z invertible; formal xi deg (1); "
+            "formal eta deg (1); }\n")
+
+
+def test_derivation_degree_is_inferred_without_deg():
+    # the first nonzero component X^a fixes |X| = |X^a| - |x^a|; with none
+    # the degree is 0
+    reports, ok = run_text(_SUPER_U +
+                           "derivation E on U = x * d/dx + xi * d/dxi;\n"
+                           "derivation F on U = xi * d/dx;\n"
+                           "derivation Z on U { xi -> 0; }\n")
+    assert ok
+    got = [(r.result["degree"], r.result["components"]) for r in reports[3:]]
+    assert got == [("(0)", {"x": "x", "xi": "xi"}), ("(1)", {"x": "xi"}),
+                   ("(0)", {})]
+
+
+def test_qcheck_reports_why_a_derivation_is_not_homological():
+    reports, ok = run_text(_SUPER_U +
+                           "derivation Q on U deg (1) { x -> xi; xi -> x; }\n"
+                           "qcheck Q;\n"
+                           "derivation E on U = x * d/dx + xi * d/dxi;\n"
+                           "qcheck E;\n")
+    assert ok
+    assert reports[4].result == {"homological": False, "reason": "square",
+                                 "witness": {"generator": "x", "residue": "x"}}
+    assert reports[6].result == {"homological": False, "reason": "parity"}
+
+
+def test_ber_of_an_unsplit_tuple_is_a_failed_command(tmp_path):
+    session = tmp_path / "unsplit.rc"
+    session.write_text(_SUPER_U + "matrix M on U deg (0) rows ((1),(0)) "
+                       "cols ((1),(0)) = [[1, 0],[0, 1]];\nber M;\n",
+                       encoding="utf-8")
+    out = _run_cli(["run", str(session), "--json"], cwd=tmp_path)
+    assert out.returncode == 1, out.stderr
+    last = json.loads(out.stdout)["reports"][-1]
+    assert last["command"] == "ber M;" and not last["ok"]
+    assert last["result"]["error"] == "NotSplitTuple"
+
+
 def test_poly_text_roundtrip(rng):
     # print -> parse -> print is the identity on canonical text
     for ctx in (super_context(), torus_context()):

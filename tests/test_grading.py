@@ -9,8 +9,8 @@ import pytest
 
 from rhocalc.cyclo import Cyclo
 from rhocalc.errors import ConstraintViolation
-from rhocalc.grading import (GroupSpec, super_factor, torus_factor,
-                             trivial_factor, validate_factor)
+from rhocalc.grading import (CommutationFactor, GroupSpec, super_factor,
+                             torus_factor, trivial_factor)
 
 from conftest import chevalley_context, torus8_context, torus_context
 
@@ -52,14 +52,14 @@ def test_trivial_factor_on_z():
 def test_torsion_consistency_rejects_z3_half():
     # on Z/3 the only factor is trivial; a half-phase is inconsistent
     with pytest.raises(ConstraintViolation) as err:
-        validate_factor(GroupSpec(0, (3,)), [[Fraction(1, 2)]])
+        CommutationFactor(GroupSpec(0, (3,)), [[Fraction(1, 2)]])
     assert err.value.which in ("torsion", "diagonal")
 
 
 def test_antisymmetry_violation():
     with pytest.raises(ConstraintViolation) as err:
-        validate_factor(GroupSpec(2), [[0, Fraction(1, 4)],
-                                       [Fraction(1, 4), 0]])
+        CommutationFactor(GroupSpec(2), [[0, Fraction(1, 4)],
+                                         [Fraction(1, 4), 0]])
     assert err.value.which == "antisymmetry"
 
 
@@ -189,6 +189,6 @@ def test_conductor_must_be_printable():
 
 def test_phase_matrix_shape_checks():
     with pytest.raises(ConstraintViolation):
-        validate_factor(GroupSpec(2), [[0]])
+        CommutationFactor(GroupSpec(2), [[0]])
     with pytest.raises(ConstraintViolation):
         torus_factor([[0, Fraction(1, 3)], [Fraction(1, 3), 0]])

@@ -195,6 +195,11 @@ def test_exactness_inconclusive_when_closure_blows_up():
     assert "stopped_by" not in res.payload()
     # at the default cap the closure runs out of rounds first
     assert exactness_solve(c, q, degree_bound=3).stopped_by == "rounds"
+    # a bound whose span holds 4,001 monomials z^k, one past the span cap,
+    # stops the wide solve before it is built
+    wide = exactness_solve(c, q, degree_bound=2000)
+    assert (wide.verdict, wide.searched, wide.stopped_by) == \
+        ("inconclusive", 128, "degree_bound")
     # the same differential still certifies honest exact cases: the
     # 39-monomial partial closure at the cap already holds a preimage of Q(z)
     c2 = q.apply(ctx.gen("z"))
@@ -386,17 +391,17 @@ def test_multichart_volume_compatibility_and_divergence():
     qv = Derivation(vc, -g.degree(1), {vc.index("vxi"): vc.one()}, "X")
     divs = divergence({"U": qu, "V": qv}, vol)
     assert divs["U"] == t_uv.pullback(divs["V"])
-    # breaking one density must trip the overlap check
-    vol_bad = VolumeForm(atlas, {"U": s_u + uc.gen("uxi") * uc.gen("ueta"),
-                                 "V": s_v})
-    assert not vol_bad.compatibility_check()["ok"]
+    # breaking one density must trip the overlap check when the form is built
+    with pytest.raises(OverlapMismatch, match=r"\(U,V\)"):
+        VolumeForm(atlas, {"U": s_u + uc.gen("uxi") * uc.gen("ueta"), "V": s_v})
 
 
 def test_multichart_divergence_overlap_mismatch():
     atlas = two_chart_super_atlas()
     u, v = atlas.charts["U"], atlas.charts["V"]
     uc, vc = u.ctx, v.ctx
-    vol = VolumeForm(atlas, {"U": uc.one(), "V": vc.one()})
+    # Ber(J_UV) = 2, so s_U = 2 s_V
+    vol = VolumeForm(atlas, {"U": uc.scalar(2), "V": vc.one()})
     g = uc.factor.group
     # deliberately inconsistent pair: nonzero divergence on U, zero on V
     qu = Derivation(uc, g.degree(1),
@@ -405,3 +410,17 @@ def test_multichart_divergence_overlap_mismatch():
     assert not divergence_on_chart(qu, uc.one()).is_zero()
     with pytest.raises(OverlapMismatch):
         divergence({"U": qu, "V": qv}, vol)
+
+
+def test_multichart_volumes_equivalent():
+    # v2 = v1 (1 + xi eta) chartwise; the witness log(1 + xi eta) agrees on
+    # the overlap, since the shear fixes xi and eta
+    atlas = two_chart_super_atlas()
+    uc, vc = atlas.charts["U"].ctx, atlas.charts["V"].ctx
+    v1 = VolumeForm(atlas, {"U": uc.scalar(2), "V": vc.one()})
+    v2 = VolumeForm(atlas, {
+        "U": uc.scalar(2) * (uc.one() + uc.gen("uxi") * uc.gen("ueta")),
+        "V": vc.one() + vc.gen("vxi") * vc.gen("veta")})
+    eq, wit = volumes_equivalent(v1, v2)
+    assert (eq, {k: h.text() for k, h in wit.items()}) == \
+        (True, {"U": "uxi * ueta", "V": "vxi * veta"})
