@@ -877,11 +877,12 @@ class Runner:
 
     def exec_equivalent(self, st):
         s = self.session
-        flag, h = volumes_equivalent(s.lookup("volumes", st["a"]),
-                                     s.lookup("volumes", st["b"]))
+        flag, hs = volumes_equivalent(s.lookup("volumes", st["a"]),
+                                      s.lookup("volumes", st["b"]))
         out = {"equivalent": flag}
         if flag:
-            out["witness"] = h.text()     # a session volume has one chart
+            (h,) = hs.values()     # a session volume has one chart
+            out["witness"] = h.text()
         return out
 
     def exec_scenarios(self, st):

@@ -322,7 +322,8 @@ def volumes_equivalent(v1: VolumeForm, v2: VolumeForm):
 
     Within the Laurent model the ratio must have filtration-free part 1;
     otherwise (e.g. ratio z on the punctured line) there is no logarithm and
-    the volumes are inequivalent.  Returns (flag, h or None).
+    the volumes are inequivalent.  Returns (True, {chart: h}) or
+    (False, None), for one chart as for many.
     """
     if set(v1.atlas.charts) != set(v2.atlas.charts):
         raise ContextMismatch("volumes live on different atlases")
@@ -339,4 +340,4 @@ def volumes_equivalent(v1: VolumeForm, v2: VolumeForm):
     for a, b in v1.atlas.pairs():
         if hs[a] != v1.atlas.maps[a, b].pullback(hs[b]):
             return False, None
-    return True, hs[sorted(hs)[0]] if len(hs) == 1 else hs
+    return True, hs

@@ -17,7 +17,8 @@ from rhocalc import cyclo, matrix
 from rhocalc.cyclo import Cyclo
 from rhocalc.errors import (GradingViolation, MixedParity, NonzeroDegree,
                             NotInvertible, ShapeMismatch, TruncationRequired)
-from rhocalc.grading import GroupSpec, torus_factor, trivial_factor
+from rhocalc.grading import (GroupSpec, super_factor, torus_factor,
+                             trivial_factor)
 from rhocalc.matrix import (GradedMatrix, _Walk, classify_tuple,
                             inverse, left_act, linearize_ber, linearize_det,
                             rho_ber, rho_det, rho_det_properties_check, rho_tr,
@@ -801,11 +802,14 @@ def test_rho_det_builds_cyclos_only_for_the_result(monkeypatch):
 
 def test_inverse_walks_each_shared_prefix_once(monkeypatch, rng):
     # a dense 5x5 Laurent grid: the determinant and its 25 cofactors walk
-    # 1,030 distinct (row prefix, used columns) words instead of 1,925
-    steps = []
-    step = matrix._Walk.step
+    # 1,030 distinct (row prefix, used columns) words instead of 1,925, and
+    # share 155 (row, column, used set) set-ups
+    steps, setups = [], []
+    step, setup = matrix._Walk.step, matrix._Walk._setup
     monkeypatch.setattr(matrix._Walk, "step",
                         lambda self, *a: steps.append(a[1:]) or step(self, *a))
+    monkeypatch.setattr(matrix._Walk, "_setup",
+                        lambda self, *a: setups.append(a) or setup(self, *a))
     ctx = super_context()
     g = ctx.factor.group
     degs = (g.zero(),) * 5
@@ -813,7 +817,8 @@ def test_inverse_walks_each_shared_prefix_once(monkeypatch, rng):
                      [[ctx.scalar(random_scalar(rng)) + ctx.gen("xi") * ctx.gen("eta")
                        for _ in range(5)] for _ in range(5)])
     got = inverse(f)
-    assert len(steps) <= 1030
+    assert len(steps) <= 1030 and len(setups) <= 155
+    assert len(set(setups)) == len(setups)
     for got_row, want_row in zip(got.entries, adjugate_inverse(f).entries):
         for a, b in zip(got_row, want_row):
             assert_same_bytes(a, b)
@@ -849,6 +854,62 @@ def test_inverse_walks_the_determinant_and_its_cofactors_in_one_pass(monkeypatch
             for got_row, want_row in zip(got.entries, adjugate_inverse(f).entries):
                 for a, b in zip(got_row, want_row):
                     assert_same_bytes(a, b)
+
+
+def test_rho_det_sets_up_each_row_column_and_used_set_once(monkeypatch):
+    # a step's phase sums read the used columns only as a set, so each
+    # (row, column, used set) is set up once, however many prefix words
+    # reach it: n 2^(n-1) = 192 set-ups for the 1,956 steps of a dense 6x6
+    steps, setups = [], []
+    step, setup = matrix._Walk.step, matrix._Walk._setup
+    monkeypatch.setattr(matrix._Walk, "step",
+                        lambda self, *a: steps.append(a[1:3]) or step(self, *a))
+    monkeypatch.setattr(matrix._Walk, "_setup",
+                        lambda self, *a: setups.append(a) or setup(self, *a))
+    # dense over theta 1/8 on the det_ber torus8 n6 slots
+    ctx = _twisted_torus_context(Fraction(1, 8))
+    g = ctx.factor.group
+    degs = tuple(g.degree(*s) for s in [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0), (1, 0)])
+    rng = random.Random("dense torus8")
+    ents = [[_bucket_entry(ctx, rng, degs[k] - degs[l]) for l in range(6)]
+            for k in range(6)]
+    for k in range(6):
+        ents[k][k] = ents[k][k] + ctx.scalar(random_scalar(rng))
+    f = GradedMatrix(ctx, degs, degs, g.zero(), ents)
+    got = rho_det(f)
+    assert len(steps) == 1956 and len(setups) <= 192
+    assert len(set(setups)) == len(setups)
+    assert_same_bytes(got, permutation_rho_det(f))
+
+
+def test_the_walk_filters_zeros_after_a_merge_and_still_prunes(monkeypatch):
+    # over four odd generators a, b, c, d the even entries ab + ac and
+    # cd + bd multiply to a (b + c)^2 d = 0: their two term pairs meet on
+    # abcd and cancel, and the walk must prune that prefix; (1 + x) and
+    # (1 - x) meet on x inside one step, and the cancelled coefficient must
+    # not pass its conductor on
+    fac = super_factor()
+    g = fac.group
+    ctx = Context(fac, [Var("x", g.zero(), "base"),
+                        *[Var(v, g.degree(1), "odd") for v in "abcd"]],
+                  name="super4")
+    a, b, c, d, x = (ctx.gen(v) for v in "abcdx")
+    one = ctx.one()
+    z8, z4 = (ctx.scalar(Cyclo.root_of_unity(n)) for n in (8, 4))
+    ents = [[a * b + a * c, z8 * (one + x), x, one],
+            [one - x, c * d + b * d, one, a * b],
+            [one, x - one, z4 * (one + x), c * d],
+            [x, z8 * (one - x), one - x, one + x]]
+    degs = (g.zero(),) * 4
+    f = GradedMatrix(ctx, degs, degs, g.zero(), ents)
+    words = []
+    step = matrix._Walk.step
+    monkeypatch.setattr(matrix._Walk, "step",
+                        lambda self, *a: words.append(step(self, *a)) or words[-1])
+    got = rho_det(f)
+    assert_same_bytes(got, permutation_rho_det(f))
+    assert {} in words
+    assert len(words) == 55    # as before the merge-only filter
 
 
 def test_rho_det_is_multiplicative_on_small_torus8_tuples():

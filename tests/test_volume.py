@@ -121,7 +121,7 @@ def test_volume_independence_of_modular_class(rng):
     r2 = modular_class(q, v2, 4)
     assert r1.verdict == r2.verdict
     eq, wit = volumes_equivalent(v1, v2)
-    assert eq and wit == h
+    assert eq and wit == {chart.name: h}
     # Q of the representative vanishes
     assert q.apply(d1).is_zero() and q.apply(d2).is_zero()
 
@@ -133,6 +133,18 @@ def test_volumes_equivalent_false_for_laurent_unit():
     v2 = VolumeForm.on_chart(chart, ctx.gen("z"))
     eq, wit = volumes_equivalent(v1, v2)
     assert not eq and wit is None
+
+
+def test_volumes_equivalent_returns_a_chart_dict_for_one_chart():
+    # one chart gives the same (True, {chart: h}) shape as many charts
+    chart = super_chart()
+    ctx = chart.ctx
+    h = ctx.gen("xi") * ctx.gen("eta")
+    v1 = VolumeForm.on_chart(chart, ctx.scalar(3))
+    v2 = VolumeForm.on_chart(chart, ctx.scalar(3) * h.exp())
+    eq, wit = volumes_equivalent(v1, v2)
+    assert eq is True and list(wit) == [chart.name]
+    assert wit[chart.name] == h
 
 
 def test_exactness_trivial_and_constructed(rng):
