@@ -21,6 +21,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once: an argparse parser is a web of reference cycles
+_PARSER = build_parser()
+
+
 def _human(reports) -> str:
     lines = []
     for r in reports:
@@ -31,7 +35,7 @@ def _human(reports) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with open(args.session, "r", encoding="utf-8") as fh:
             text = fh.read()

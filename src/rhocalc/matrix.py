@@ -352,10 +352,12 @@ class _Walk:
         sign reads the actual column indices, so a shared prefix is the same
         word.  Each step's set-up is computed once per (row, column, used
         set), however many prefix words reach it: a dense 6x6 determinant
-        makes 6 * 2^5 = 192 set-ups for its 1,956 steps.  The walk holds one
-        word per level.  Each minor folds its leaf words in its own walk
-        order, the left fold of its plain permutation sum.  The 0x0 minor
-        walks one empty word, 1.
+        makes 6 * 2^5 = 192 set-ups for its 1,956 steps.  While it runs the
+        walk holds one word per level; when expand returns, its words,
+        set-ups and scaled-term memos are freed by reference count, with no
+        cycle left for the garbage collector.  Each minor folds its leaf
+        words in its own walk order, the left fold of its plain permutation
+        sum.  The 0x0 minor walks one empty word, 1.
         """
         rows, cols = tuple(rows), tuple(cols)
         last = len(rows) - 1
@@ -376,7 +378,10 @@ class _Walk:
                     if nxt:
                         walk(nxt, j + 1, used | 1 << col, skipped)
 
-        walk({self.ctx.zero_mono(): (1, {0: 1})}, 0, 0, None)
+        try:
+            walk({self.ctx.zero_mono(): (1, {0: 1})}, 0, 0, None)
+        finally:
+            walk = None     # walk's cell refers to walk: break the cycle
         den = math.prod([self.dens[r] for r in rows])
         out = {None: self._poly(folds.get(None, {}), den)}
         if cofactors:

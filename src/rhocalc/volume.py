@@ -270,7 +270,10 @@ def _bounded_span(ctx: Context, hdeg: Degree, bound: int):
             rec(idx + 1, budget - abs(e))
         mono[idx] = 0
 
-    rec(0, bound)
+    try:
+        rec(0, bound)
+    finally:
+        rec = None      # rec's cell refers to rec: break the cycle
     return None if len(out) > _SPAN_CAP else out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -11,7 +12,9 @@ import pytest
 from rhocalc.algebra import Context, GradedPoly, Var
 from rhocalc.cyclo import Cyclo
 from rhocalc.derivation import Derivation, LieStructure, ce_differential
-from rhocalc.grading import CommutationFactor, GroupSpec, super_factor, torus_factor
+from rhocalc.geometry import de_rham, make_chart
+from rhocalc.grading import (CommutationFactor, GroupSpec, super_factor, torus_factor,
+                             trivial_factor)
 
 
 @pytest.fixture
@@ -72,6 +75,21 @@ def zline_context(truncation=None) -> Context:
                          Var("w", g.degree(2), "even"),
                          Var("v", g.degree(-2), "even")],
                    truncation, name="zline")
+
+
+def line_form_chart():
+    """The de Rham chart of the Laurent line: z invertible, dz odd."""
+    fac = trivial_factor(GroupSpec(0))
+    return de_rham(make_chart("L", fac, [("z", fac.group.zero(), True)]))
+
+
+def line_form_blowup():
+    """(ctx, Q) for Q(z) = dz + z^2 dz on the line form chart, whose
+    closure blows up: the exactness solver falls back to its bounded span."""
+    ctx = line_form_chart().chart.ctx
+    comp = ctx.gen("dz") + ctx.monomial(1, {"z": 2, "dz": 1})
+    q = Derivation(ctx, ctx.factor.group.degree(1), {ctx.index("z"): comp}, "Q")
+    return ctx, q
 
 
 @pytest.fixture
@@ -182,3 +200,18 @@ def random_derivation(ctx: Context, rng, degree=None, terms: int = 2,
         if not acc.is_zero():
             comps[a] = acc
     return Derivation(ctx, degree, comps, name)
+
+
+def cyclic_garbage(fn, *args) -> int:
+    """Objects that fn(*args) leaves for the cyclic garbage collector: the
+    count of the first collection after the call, with automatic collection
+    off during it.  0 when reference counting frees all that fn made."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        fn(*args)
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()

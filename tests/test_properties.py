@@ -1,19 +1,28 @@
 """Hypothesis property tests for the core invariants."""
 
+import contextlib
 import functools
+import io
 import operator
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rhocalc import cli
 from rhocalc.algebra import Context, GradedPoly, Var
 from rhocalc.cyclo import Cyclo
+from rhocalc.dsl import run_session
 from rhocalc.errors import ConstraintViolation, ContextMismatch
 from rhocalc.grading import GroupSpec, super_factor, torus_factor, trivial_factor
+from rhocalc.matrix import GradedMatrix, inverse, rho_ber, rho_det
+from rhocalc.volume import exactness_solve
 
-from conftest import (all_monomials, super_context, torus8_context, torus_context,
-                      zline_context)
+from conftest import (all_monomials, cyclic_garbage, line_form_blowup,
+                      random_homogeneous, random_scalar, super_context,
+                      torus8_context, torus_context, zline_context)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -267,3 +276,58 @@ def test_power_basis_is_the_printed_form(v):
     text = v.text()
     printed = 0 if text == "0" else 1 + text.count(" + ") + text.count(" - ")
     assert v.n_terms() == printed
+
+
+def _grid(ctx, slots, rng, unit=False):
+    """A degree-0 matrix over the degree tuple `slots` (generator parts):
+    random homogeneous entries plus a scalar on the diagonal.  With unit,
+    over the super context, the entries are a random scalar plus xi eta
+    (even) or xi and eta (odd), so the Laurent part is rational and the
+    inverse and the Berezinian exist."""
+    g = ctx.factor.group
+    degs = tuple(g.degree(*d) for d in slots)
+
+    def entry(d):
+        if not unit:
+            return random_homogeneous(ctx, rng, d)
+        xi, eta = ctx.gen("xi"), ctx.gen("eta")
+        if d.is_zero():
+            return ctx.scalar(random_scalar(rng)) + (xi * eta).scale(random_scalar(rng))
+        return xi.scale(random_scalar(rng)) + eta.scale(random_scalar(rng))
+
+    ents = [[entry(degs[k] - degs[l]) for l in range(len(degs))]
+            for k in range(len(degs))]
+    for k in range(len(degs)):
+        ents[k][k] = ents[k][k] + ctx.scalar(random_scalar(rng))
+    return GradedMatrix(ctx, degs, degs, g.zero(), ents)
+
+
+def test_hot_paths_leave_no_cyclic_garbage():
+    # whatever the determinant walk, the bounded span, the session runner
+    # and the CLI build is freed by reference count when they return, so
+    # the workloads' paths leave the collector nothing to sweep
+    rng = random.Random("cyclic garbage")
+    sctx, tctx = super_context(), torus8_context()
+    grids = [_grid(sctx, [(0,)] * 5, rng), _grid(sctx, [(1,)] * 5, rng),
+             _grid(tctx, [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)], rng)]
+    for f in grids:
+        assert not rho_det(f).is_zero()
+        assert cyclic_garbage(rho_det, f) == 0
+    assert cyclic_garbage(inverse, _grid(sctx, [(0,)] * 4, rng, unit=True)) == 0
+    ber = _grid(sctx, [(0,), (0,), (1,), (1,)], rng, unit=True)
+    assert not rho_ber(ber).is_zero()
+    assert cyclic_garbage(rho_ber, ber) == 0
+
+    ctx, q = line_form_blowup()
+    c = q.apply(ctx.gen("z"))
+    # at closure_cap=1 the solver finds z in the 17-monomial bounded span
+    assert exactness_solve(c, q, closure_cap=1).searched == 17
+    assert cyclic_garbage(lambda: exactness_solve(c, q, closure_cap=1)) == 0
+
+    demo = Path(__file__).resolve().parents[1] / "sessions" / "demo.rc"
+    assert cyclic_garbage(run_session, demo.read_text(encoding="utf-8")) == 0
+    assert cyclic_garbage(run_session, "scenarios all;") == 0
+    # text mode only: the stdlib's indenting JSON encoder behind --json
+    # makes a closure cycle per call
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cyclic_garbage(cli.main, ["run", str(demo)]) == 0

@@ -19,7 +19,8 @@ from rhocalc.volume import (VolumeForm, divergence, divergence_on_chart,
                             lie_derivative_volume, modular_class,
                             volumes_equivalent)
 
-from conftest import random_derivation, random_homogeneous
+from conftest import (line_form_blowup, line_form_chart, random_derivation,
+                      random_homogeneous)
 
 
 def super_chart(name="U"):
@@ -167,19 +168,10 @@ def test_exactness_trivial_and_constructed(rng):
     assert found >= 5
 
 
-def _line_form_chart():
-    from rhocalc.geometry import de_rham
-    from rhocalc.grading import GroupSpec, trivial_factor
-
-    fac = trivial_factor(GroupSpec(0))
-    base = make_chart("L", fac, [("z", fac.group.zero(), True)])
-    return de_rham(base)
-
-
 def test_exactness_laurent_log_obstruction():
     # z^k dz integrates to z^(k+1)/(k+1) except at k = -1, where the closure
     # proves there is no Laurent primitive
-    dr = _line_form_chart()
+    dr = line_form_chart()
     ctx = dr.chart.ctx
     d = dr.differential
     res = exactness_solve(ctx.monomial(1, {"z": -1, "dz": 1}), d)
@@ -193,7 +185,7 @@ def test_exactness_laurent_log_obstruction():
 def test_exactness_inconclusive_when_closure_blows_up():
     # shifts in both Laurent directions make the candidate closure infinite;
     # without a bounded-span solution the solver must refuse to over-claim
-    dr = _line_form_chart()
+    dr = line_form_chart()
     ctx = dr.chart.ctx
     g = ctx.factor.group
     comp = ctx.gen("dz") + ctx.monomial(1, {"z": 2, "dz": 1})
@@ -220,19 +212,11 @@ def test_exactness_inconclusive_when_closure_blows_up():
     assert q.apply(res2.certificate) == c2
 
 
-def _line_form_blowup():
-    dr = _line_form_chart()
-    ctx = dr.chart.ctx
-    comp = ctx.gen("dz") + ctx.monomial(1, {"z": 2, "dz": 1})
-    q = Derivation(ctx, ctx.factor.group.degree(1), {ctx.index("z"): comp}, "Q")
-    return ctx, q
-
-
 def test_exactness_certifies_through_the_bounded_span(monkeypatch):
     # at closure_cap=1 the closure is cut before it keeps a monomial, so
     # only the degree-bounded span (17 monomials at the default bound) can
     # find the preimage z of Q(z)
-    ctx, q = _line_form_blowup()
+    ctx, q = line_form_blowup()
     c = q.apply(ctx.gen("z"))
     res = exactness_solve(c, q, closure_cap=1)
     assert (res.verdict, res.certificate, res.searched) == ("exact", ctx.gen("z"), 17)
@@ -242,7 +226,7 @@ def test_exactness_certifies_through_the_bounded_span(monkeypatch):
 
 
 def test_exactness_applies_q_once_per_monomial(monkeypatch):
-    ctx, q = _line_form_blowup()
+    ctx, q = line_form_blowup()
     c = q.apply(ctx.gen("z"))
     calls = []
     apply = Derivation.apply
@@ -263,7 +247,7 @@ def test_exactness_applies_q_once_per_monomial(monkeypatch):
 
 
 def test_exactness_rejects_a_wrong_certificate(monkeypatch):
-    ctx, q = _line_form_blowup()
+    ctx, q = line_form_blowup()
     c = q.apply(ctx.gen("z"))
     solve = volume.solve_linear
 
@@ -277,7 +261,7 @@ def test_exactness_rejects_a_wrong_certificate(monkeypatch):
 
 
 def test_exactness_hands_the_solver_sparse_nonzero_rows(monkeypatch):
-    ctx, q = _line_form_blowup()
+    ctx, q = line_form_blowup()
     c = q.apply(ctx.gen("z"))
     solve = volume.solve_linear
     seen = []
