@@ -262,8 +262,7 @@ class LieStructure:
         return len(self.degrees)
 
 
-def ce_differential(lie: LieStructure,
-                    truncation: int | None = None) -> tuple[Context, Derivation]:
+def ce_differential(lie: LieStructure) -> tuple[Context, Derivation]:
     """The quadratic differential encoding a bracket on shifted dual variables.
 
     Builds the Z x G context whose generators xi^a carry degree (1, -|e_a|)
@@ -275,7 +274,7 @@ def ce_differential(lie: LieStructure,
     for a, d in enumerate(lie.degrees):
         dd = lie.factor.prime_degree(1, -d)
         vars_.append(Var(f"xi{a + 1}", dd, fac.parity(dd)))
-    ctx = Context(fac, vars_, truncation, name="chevalley")
+    ctx = Context(fac, vars_, name="chevalley")
     half = Fraction(1, 2)
     comps: dict[int, GradedPoly] = {}
     for (a, b, c), g in lie.constants.items():

@@ -3,9 +3,11 @@
 A session declares one grading group and commutation factor, then charts,
 transitions, derivations, matrices and volumes, and runs commands against
 them.  Parsing is two-phase: a syntax pass builds statement records with
-source spans, execution resolves names and evaluates.  Reports are emitted
-in statement order; a failed command is recorded and execution continues,
-while a failed declaration aborts the remainder of the session.
+source spans and compiles each polynomial expression to a function of the
+chart, partial(g, *args) for ctx -> g(*args, ctx); execution resolves names
+and calls those functions.  Reports are emitted in statement order; a
+failed command is recorded and execution continues, while a failed
+declaration aborts the remainder of the session.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .algebra import Context, GradedPoly, rho_commutator
 from .cyclo import Cyclo
@@ -129,29 +132,30 @@ def tokenize(text: str) -> list[Tok]:
     return toks
 
 
-# -- polynomial expression AST -----------------------------------------------------
+def _scalar(make, arg, ctx):
+    return ctx.scalar(make(arg))
 
 
-@dataclass
-class PNum:
-    value: Fraction
+def _coordinate(tok, ctx):
+    _coord_index(ctx, tok)
+    return ctx.gen(tok.text)
 
 
-@dataclass
-class PZeta:
-    conductor: int
+def _neg(f, ctx):
+    return -f(ctx)
 
 
-@dataclass
-class PName:
-    tok: Tok
+def _pow(f, k, ctx):
+    return f(ctx) ** k
 
 
-@dataclass
-class POp:
-    op: str            # add | sub | mul | neg | pow
-    args: tuple
-    power: int = 0
+def _fold(first, rest, ctx):
+    """first(ctx) folded with each (op, f) of rest as op(acc, f(ctx)), left
+    to right: a loop, so no chain recurses."""
+    acc = first(ctx)
+    for op, f in rest:
+        acc = op(acc, f(ctx))
+    return acc
 
 
 class Parser:
@@ -252,19 +256,25 @@ class Parser:
     # -- polynomial expressions
 
     def poly_expr(self):
-        node = self.poly_term()
+        """term (('+' | '-') term)*"""
+        f = self.poly_term()
+        if self.peek().text not in ("+", "-"):
+            return f
+        rest = []
         while self.peek().text in ("+", "-"):
-            op = self.next().text
-            rhs = self.poly_term()
-            node = POp("add" if op == "+" else "sub", (node, rhs))
-        return node
+            op = GradedPoly.__add__ if self.next().text == "+" else GradedPoly.__sub__
+            rest.append((op, self.poly_term()))
+        return partial(_fold, f, rest)
 
     def poly_term(self):
-        node = self.poly_factor()
-        while self.peek().text == "*":
-            self.next()
-            node = POp("mul", (node, self.poly_factor()))
-        return node
+        """factor ('*' factor)*"""
+        f = self.poly_factor()
+        if self.peek().text != "*":
+            return f
+        rest = []
+        while self.accept("*"):
+            rest.append((GradedPoly.__mul__, self.poly_factor()))
+        return partial(_fold, f, rest)
 
     def nested(self, parse):
         """Consume the '(' or unary '-' at hand and return parse() one level
@@ -280,29 +290,28 @@ class Parser:
 
     def poly_factor(self):
         if self.peek().text == "-":
-            return POp("neg", (self.nested(self.poly_factor),))
+            return partial(_neg, self.nested(self.poly_factor))
         atom = self.poly_atom()
         if self.accept("^"):
-            k = self.integer()
-            return POp("pow", (atom,), power=k)
+            return partial(_pow, atom, self.integer())
         return atom
 
     def poly_atom(self):
         t = self.peek()
         if t.kind == "int":
-            return PNum(self.rational())
+            return partial(_scalar, Cyclo.rational, self.rational())
         if t.text == "(":
-            node = self.nested(self.poly_expr)
+            f = self.nested(self.poly_expr)
             self.expect(")")
-            return node
+            return f
         if t.kind == "name":
+            self.next()
             if t.text == "zeta":
-                self.next()
                 self.expect("(")
                 n = self.checked_integer(lambda n: n > 0, "a positive zeta order")
                 self.expect(")")
-                return PZeta(n)
-            return PName(self.next())
+                return partial(_scalar, Cyclo.root_of_unity, n)
+            return partial(_coordinate, t)
         self.fail("a polynomial atom")
 
     # -- statements
@@ -351,7 +360,7 @@ class Parser:
         free = 0
         torsion = []
         while True:
-            t = self.name("a group term (Z, Z^r, Z/n, or 1)")
+            t = self.next()
             if t.text == "Z":
                 if self.accept("^"):
                     free += self.integer()
@@ -359,27 +368,21 @@ class Parser:
                     torsion.append(self.integer())
                 else:
                     free += 1
-            elif t.text == "1":
-                pass
-            else:
-                raise DslSyntaxError(t.line, t.col, "a group term")
+            elif t.text != "1":
+                raise DslSyntaxError(t.line, t.col, "a group term (Z, Z^r, Z/n, or 1)")
             if not self.accept("*"):
                 break
         return GroupSpec(free, tuple(torsion))
 
     def stmt_factor(self):
         t = self.name("a factor form (super, trivial, torus, phases)")
-        st: dict = {"form": t.text}
-        if t.text in ("super", "trivial"):
-            pass
-        elif t.text == "torus":
-            st["matrix"] = self.grid(self.rational)
-        elif t.text == "phases":
-            st["matrix"] = self.grid(self.rational)
-            if self.accept("on"):
-                st["on_group"] = self.group_expr()
-        else:
+        if t.text not in ("super", "trivial", "torus", "phases"):
             raise DslSyntaxError(t.line, t.col, "super, trivial, torus or phases")
+        st: dict = {"form": t.text}
+        if t.text in ("torus", "phases"):
+            st["matrix"] = self.grid(self.rational)
+        if t.text == "phases" and self.accept("on"):
+            st["on_group"] = self.group_expr()
         self.expect(";")
         return st
 
@@ -398,17 +401,15 @@ class Parser:
         coords = []
         while not self.accept("}"):
             t = self.name("'base' or 'formal'")
-            if t.text == "base":
-                vname = self.name().text
-                inv = self.accept("invertible")
-                coords.append({"name": vname, "degree": None, "invertible": inv})
-            elif t.text == "formal":
-                vname = self.name().text
-                self.expect("deg")
-                deg = self.degree_literal()
-                coords.append({"name": vname, "degree": deg, "invertible": False})
-            else:
+            if t.text not in ("base", "formal"):
                 raise DslSyntaxError(t.line, t.col, "'base' or 'formal'")
+            coord = {"name": self.name().text, "degree": None, "invertible": False}
+            if t.text == "base":
+                coord["invertible"] = self.accept("invertible")
+            else:
+                self.expect("deg")
+                coord["degree"] = self.degree_literal()
+            coords.append(coord)
             self.expect(";")
         return {"name": name, "coords": coords}
 
@@ -451,8 +452,8 @@ class Parser:
         return {"name": name, "ctx": ctx_tok, "degree": deg, "sum_form": comps}
 
     def poly_term_until_dd(self):
-        """<poly factor chain> * d/d<var> as (d<var> token, coefficient or None)."""
-        coeff = None
+        """[<poly factor> * ...] d/d<var> as (d<var> token, coefficient)."""
+        factors = []
         while True:
             t = self.peek()
             if t.kind == "name" and t.text == "d" and self.toks[self.pos + 1].text == "/":
@@ -461,9 +462,11 @@ class Parser:
                 vtok = self.name("d<var>")
                 if not vtok.text.startswith("d"):
                     raise DslSyntaxError(vtok.line, vtok.col, "d<var>")
-                return vtok, coeff
-            f = self.poly_factor()
-            coeff = f if coeff is None else POp("mul", (coeff, f))
+                if not factors:
+                    return vtok, Context.one
+                return vtok, partial(_fold, factors[0], [(GradedPoly.__mul__, f)
+                                                         for f in factors[1:]])
+            factors.append(self.poly_factor())
             if not self.accept("*"):
                 self.fail("'*' or d/d<var>")
 
@@ -484,29 +487,14 @@ class Parser:
         t1 = self.peek()
         if t1.kind == "name" and t1.text != "zeta" \
                 and self.toks[self.pos + 1].kind == "name":
-            a = self.name()
-            b = self.name()
-            self.expect(";")
-            return {"form": "derivations", "a": a, "b": b}
-        f = self.poly_expr()
-        self.expect(",")
-        g = self.poly_expr()
-        self.expect("on")
-        ctx_tok = self.name("a chart name")
-        self.expect(";")
-        return {"form": "polys", "f": f, "g": g, "ctx": ctx_tok}
+            return {"form": "derivations", **self.shape((("a", "name"), ("b", "name"), ";"))}
+        return {"form": "polys", **self.shape((("f", "poly"), ",", ("g", "poly"),
+                                               "on", _CHART, ";"))}
 
     def stmt_qcheck(self):
         t = self.name("a derivation name")
         if t.text == "d" and self.accept("on"):
-            kw = self.name("derham")
-            if kw.text != "derham":
-                raise DslSyntaxError(kw.line, kw.col, "'derham'")
-            self.expect("(")
-            chart = self.name("a chart name")
-            self.expect(")")
-            self.expect(";")
-            return {"form": "derham", "ctx": chart}
+            return {"form": "derham", **self.shape(("derham", "(", _CHART, ")", ";"))}
         self.expect(";")
         return {"form": "named", "target": t}
 
@@ -579,35 +567,6 @@ def _coord_index(ctx: Context, tok: Tok, name: str | None = None) -> int:
     if not ctx.has(name):
         raise ResolveError(tok.text)
     return ctx.index(name)
-
-
-_BINARY = {"add": GradedPoly.__add__, "sub": GradedPoly.__sub__,
-           "mul": GradedPoly.__mul__}
-
-
-def eval_poly(node, ctx: Context) -> GradedPoly:
-    if isinstance(node, PNum):
-        return ctx.scalar(node.value)
-    if isinstance(node, PZeta):
-        return ctx.scalar(Cyclo.root_of_unity(node.conductor))
-    if isinstance(node, PName):
-        _coord_index(ctx, node.tok)
-        return ctx.gen(node.tok.text)
-    if isinstance(node, POp):
-        if node.op in _BINARY:  # down the left spine: no recursion on a long chain
-            spine = []
-            while isinstance(node, POp) and node.op in _BINARY:
-                spine.append(node)
-                node = node.args[0]
-            acc = eval_poly(node, ctx)
-            for op in reversed(spine):
-                acc = _BINARY[op.op](acc, eval_poly(op.args[1], ctx))
-            return acc
-        if node.op == "neg":
-            return -eval_poly(node.args[0], ctx)
-        if node.op == "pow":
-            return eval_poly(node.args[0], ctx) ** node.power
-    raise RhoError(f"bad expression node {node!r}")
 
 
 def _coordinates(ctx: Context) -> list:
@@ -722,7 +681,7 @@ class Runner:
         images = {}
         for vtok, expr in st["images"]:
             a = _coord_index(tgt.ctx, vtok)
-            images[a] = eval_poly(expr, src.ctx)
+            images[a] = expr(src.ctx)
         s.transitions[name] = TransitionMap(src, tgt, images)
         return {"declared": "transition", "name": name,
                 "source": src.name, "target": tgt.name}
@@ -735,12 +694,11 @@ class Runner:
         if "components" in st:
             for vtok, expr in st["components"]:
                 a = _coord_index(ctx, vtok)
-                comps[a] = eval_poly(expr, ctx)
+                comps[a] = expr(ctx)
         else:
             for vtok, expr in st["sum_form"]:
                 a = _coord_index(ctx, vtok, vtok.text[1:])
-                coeff = ctx.one() if expr is None else eval_poly(expr, ctx)
-                comps[a] = comps.get(a, ctx.zero()) + coeff
+                comps[a] = comps.get(a, ctx.zero()) + expr(ctx)
         degree = self._derivation_degree(st, ctx, comps)
         der = Derivation(ctx, degree, comps, name)
         s.derivations[name] = der
@@ -764,7 +722,7 @@ class Runner:
         rows = tuple(g.degree(*d) for d in st["rows"])
         cols = tuple(g.degree(*d) for d in st["cols"])
         degree = g.degree(*st["degree"])
-        grid = [[eval_poly(e, ctx) for e in row] for row in st["grid"]]
+        grid = [[e(ctx) for e in row] for row in st["grid"]]
         m = GradedMatrix(ctx, rows, cols, degree, grid)
         s.matrices[name] = m
         return {"declared": "matrix", "name": name,
@@ -776,7 +734,7 @@ class Runner:
         s = self.session
         name = st["name"].text
         chart = s.lookup("charts", st["ctx"])
-        density = eval_poly(st["density"], chart.ctx)
+        density = st["density"](chart.ctx)
         s.volumes[name] = VolumeForm.on_chart(chart, density)
         return {"declared": "volume", "name": name,
                 "chart": chart.name, "density": density.text()}
@@ -800,7 +758,7 @@ class Runner:
 
     def exec_normalize(self, st):
         chart = self.session.lookup("charts", st["ctx"])
-        value = eval_poly(st["expr"], chart.ctx)
+        value = st["expr"](chart.ctx)
         degs = value.degrees()
         return {"value": value.text(),
                 "degree": (next(iter(degs)).text() if len(degs) == 1
@@ -815,9 +773,7 @@ class Runner:
             return {"degree": z.degree.text(),
                     "components": _components(z.ctx, z.components)}
         chart = s.lookup("charts", st["ctx"])
-        f = eval_poly(st["f"], chart.ctx)
-        g = eval_poly(st["g"], chart.ctx)
-        return {"value": rho_commutator(f, g).text()}
+        return {"value": rho_commutator(st["f"](chart.ctx), st["g"](chart.ctx)).text()}
 
     def exec_det(self, st):
         invariant = {"det": rho_det, "ber": rho_ber, "trace": rho_tr}[st["kind"]]
@@ -849,9 +805,7 @@ class Runner:
 
     def exec_schouten(self, st):
         sc = self.session.lookup("stars", st["sc"])
-        f = eval_poly(st["f"], sc.chart.ctx)
-        g = eval_poly(st["g"], sc.chart.ctx)
-        return {"value": schouten(sc, f, g).text()}
+        return {"value": schouten(sc, st["f"](sc.chart.ctx), st["g"](sc.chart.ctx)).text()}
 
     def exec_jacobian(self, st):
         t = self.session.lookup("transitions", st["target"])

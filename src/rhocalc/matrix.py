@@ -214,8 +214,8 @@ class _Walk:
     its nonzero numerators cost, whatever N is.  tag is the conductor that
     `Cyclo` arithmetic would have stored: the lcm of the factors' tags,
     where an entry coefficient's tag is its conductor and a root zeta_M^p
-    has tag M / gcd(p, M).  N is the lcm of the entry conductors and of the
-    order of the roots the phases can reach.  A coefficient becomes a
+    has tag M / gcd(p, M).  N is lcm(big_n, entry conductors): the tags do
+    not read N, so a larger one moves no byte.  A coefficient becomes a
     `Cyclo` only when the walk ends, stored at its tag by `Cyclo.from_ints`
     (the inverse of `lift`); a `Cyclo`'s text depends only on its value and
     its stored conductor, so the output is that of the `Cyclo` walk.
@@ -236,15 +236,9 @@ class _Walk:
                  tt=None, tv=None):
         self.ctx, self.tt = ctx, tt
         self.big_n = big_n = ctx.conductor if big_n is None else big_n
-        self.scale = scale = big_n // ctx.conductor
-        flat = [t for row in grid for e in row for t in e.terms.items()]
-        # every phase at big_n the walk can reach is a multiple of g
-        g = math.gcd(big_n, *[x for row in tt for x in row]) if tt else big_n
-        if g > 1:
-            seen = [a for a, col in enumerate(zip(*[m for m, _ in flat])) if any(col)]
-            g = math.gcd(g, *[scale * ctx._pair[a][b] for a in seen for b in seen],
-                         *[row[a] for row in tv or () for a in seen])
-        self.n = n = math.lcm(big_n // g, *[c.n for _, c in flat])
+        self.scale = big_n // ctx.conductor
+        self.n = n = math.lcm(big_n, *[c.n for row in grid for e in row
+                                       for c in e.terms.values()])
         self.dens = [math.lcm(*[c.den for e in row for c in e.terms.values()])
                      for row in grid]
         # per entry term: (monomial, t-phases, tag, c's (slot, numerator)
@@ -339,10 +333,10 @@ class _Walk:
             return {m: acc for m, acc in out.items() if any(acc[1].values())}
         return out
 
-    def expand(self, rows, cols, cofactors: bool = False) -> dict:
-        """{None: the determinant of the rows x cols minor}, and with
-        cofactors also {(k, l): the minor without column k and row l} for
-        every such pair, all from one depth-first walk.
+    def expand(self, cofactors: bool = False) -> dict:
+        """{None: the determinant of the grid}, and with cofactors also
+        {(k, l): the minor without column k and row l} for every such pair,
+        all from one depth-first walk.
 
         The walk is in lexicographic column order: each prefix word, keyed
         by its rows and its used columns (a bitmask), is computed once and
@@ -359,22 +353,21 @@ class _Walk:
         words in its own walk order, the left fold of its plain permutation
         sum.  The 0x0 minor walks one empty word, 1.
         """
-        rows, cols = tuple(rows), tuple(cols)
-        last = len(rows) - 1
+        span = range(len(self.dens))
         folds: dict = {}
         setups: dict = {}
 
         def walk(word, j, used, skipped):
-            if j > last:
+            if j == len(span):
                 key = None if skipped is None else (
-                    next(c for c in cols if not used >> c & 1), skipped)
+                    next(c for c in span if not used >> c & 1), skipped)
                 _fold(folds.setdefault(key, {}), word)
                 return
             if cofactors and skipped is None:
-                walk(word, j + 1, used, rows[j])
-            for col in cols:
+                walk(word, j + 1, used, j)
+            for col in span:
                 if not used >> col & 1:
-                    nxt = self.step(word, rows[j], col, used, setups)
+                    nxt = self.step(word, j, col, used, setups)
                     if nxt:
                         walk(nxt, j + 1, used | 1 << col, skipped)
 
@@ -382,11 +375,11 @@ class _Walk:
             walk({self.ctx.zero_mono(): (1, {0: 1})}, 0, 0, None)
         finally:
             walk = None     # walk's cell refers to walk: break the cycle
-        den = math.prod([self.dens[r] for r in rows])
+        den = math.prod(self.dens)
         out = {None: self._poly(folds.get(None, {}), den)}
         if cofactors:
             out.update({(k, l): self._poly(folds.get((k, l), {}), den // self.dens[l])
-                        for k in cols for l in rows})
+                        for k in span for l in span})
         return out
 
     def _poly(self, acc: dict, den: int) -> GradedPoly:
@@ -425,8 +418,7 @@ def rho_det(f: GradedMatrix) -> GradedPoly:
     # phases at N' of t_a past t_l and past each variable
     tt = [[half + scale * fac.phase_k(d, e) for e in f.rows] for d in f.rows]
     tv = [[scale * fac.phase_k(d, v.degree) for v in ctx.variables] for d in f.rows]
-    n = f.nrows
-    return _Walk(ctx, f.entries, big_n, tt, tv).expand(range(n), range(n))[None]
+    return _Walk(ctx, f.entries, big_n, tt, tv).expand()[None]
 
 
 def inverse(f: GradedMatrix) -> GradedMatrix:
@@ -457,7 +449,7 @@ def inverse(f: GradedMatrix) -> GradedMatrix:
     if n == 0:
         return f
     free = f.map_entries(lambda e: e.i_free_part())
-    cofs = _Walk(ctx, free).expand(range(n), range(n), cofactors=True)
+    cofs = _Walk(ctx, free).expand(cofactors=True)
     det0_inv = cofs[None].invert()
     adj = [[cofs[k, l].scale((-1) ** (k + l)) * det0_inv for l in range(n)]
            for k in range(n)]
@@ -507,7 +499,7 @@ def rho_ber(f: GradedMatrix) -> GradedPoly:
         # f00 is invertible iff the determinant of its filtration-free part
         # is a Laurent unit, the test inverse() makes
         free00 = f00.map_entries(lambda e: e.i_free_part())
-        _Walk(ctx, free00).expand(ev, ev)[None].invert()
+        _Walk(ctx, free00).expand()[None].invert()
     except NotInvertible:
         return ctx.zero()
     schur = f00 - f01 @ f11_inv @ f10 if od else f00

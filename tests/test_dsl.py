@@ -13,8 +13,7 @@ import pytest
 import rhocalc
 from rhocalc import cli
 from rhocalc.algebra import poly_text
-from rhocalc.dsl import (Parser, Runner, eval_poly, parse_session, run_session,
-                         tokenize)
+from rhocalc.dsl import Parser, Runner, parse_session, run_session, tokenize
 from rhocalc.errors import DslSyntaxError
 
 from conftest import random_poly, super_context, torus_context
@@ -160,6 +159,33 @@ modular d_PT w1;
     assert find("trace").result["value"] == "-1"   # 2 + 1 - 3 - 1
 
 
+def test_group_one_is_the_trivial_group_term():
+    # the int token 1 is a group term, as the syntax error always offered
+    def results(group):
+        reports, ok = run_text(f"group {group}; factor trivial;\n"
+                               "chart U { base x; }\nnormalize 2 * x on U;\n")
+        assert ok
+        return [r.result for r in reports]
+
+    assert results("1") == results("Z^0")
+    assert results("1")[0] == {"declared": "group", "group": "1"}
+    assert results("Z * 1") == results("Z")
+    assert results("1 * Z/2 * 1") == results("Z/2")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("group foo;", "line 1, col 7: expected a group term (Z, Z^r, Z/n, or 1)"),
+    ("group 2;", "line 1, col 7: expected a group term (Z, Z^r, Z/n, or 1)"),
+    ("group Z * ;", "line 1, col 11: expected a group term (Z, Z^r, Z/n, or 1)"),
+    ("qcheck d on 5;", "line 1, col 13: expected 'derham'"),
+    ("qcheck d on foo(U);", "line 1, col 13: expected 'derham'"),
+])
+def test_a_bad_token_gets_one_message_whatever_its_kind(text, message):
+    with pytest.raises(DslSyntaxError) as err:
+        parse_session(text)
+    assert str(err.value) == message
+
+
 def test_transition_jacobian_cocycle_session():
     text = """
 group Z/2; factor super;
@@ -267,7 +293,7 @@ def test_poly_text_roundtrip(rng):
             f = random_poly(ctx, rng)
             text = poly_text(f)
             node = Parser(text).poly_expr()
-            again = eval_poly(node, ctx)
+            again = node(ctx)
             assert again == f
             assert poly_text(again) == text
 
@@ -329,7 +355,7 @@ def test_cli_exit_codes(tmp_path):
     assert "syntax error" in out2.stderr
 
 
-def test_one_way_cotangent_bundle_is_a_failed_declaration(tmp_path):
+def test_one_way_cotangent_bundle_is_a_failed_declaration(tmp_path, capsys):
     # the cotangent bundle needs both directions of an overlap; with only
     # T : U -> V the missing V -> U used to escape as a KeyError traceback
     session = tmp_path / "oneway.rc"
@@ -338,10 +364,10 @@ def test_one_way_cotangent_bundle_is_a_failed_declaration(tmp_path):
                        "chart V { base y; formal vxi deg (1); }\n"
                        "transition T : U -> V { y = x + 2 * x; vxi = xi; }\n"
                        "bundle CB = cotangent(U, V);\n", encoding="utf-8")
-    out = _run_cli(["run", str(session), "--json"], cwd=tmp_path)
-    assert out.returncode == 1, out.stderr
-    assert "Traceback" not in out.stdout + out.stderr
-    last = json.loads(out.stdout)["reports"][-1]
+    assert cli.main(["run", str(session), "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err and err == ""
+    last = json.loads(out)["reports"][-1]
     assert not last["ok"]
     assert last["result"]["error"] == "OverlapMismatch"
     assert "V to U" in last["result"]["message"]
@@ -458,6 +484,8 @@ _U = "group Z/2; factor super;\nchart U { base x; formal xi deg (1); }\n"
     ("scenarios torus m=-1;", 1, '"error": "BadParameter"', ""),
     ("scenarios torus n=2;", 1, '"error": "BadParameter"', ""),
     ("scenarios derham m=2;", 1, '"error": "BadParameter"', ""),
+    # and so is the scenario name
+    ("scenarios foo;", 1, '"error": "ResolveError"', ""),
 ])
 def test_cli_rejects_bad_literals_without_traceback(tmp_path, capsys, text,
                                                     code, error, where):

@@ -156,6 +156,23 @@ def test_tangent_cotangent_cocycles_nonlinear():
     assert rep2["ok"], rep2["failures"]
 
 
+def test_cocycle_reports_round_trips_and_triples_that_fail():
+    # y = 2x and x = y are no inverse pair, and w = x is not w = 3y after
+    # y = 2x: both round trips and both triples through W fail
+    fac = trivial_factor(GroupSpec(1))
+    u, v, w = (make_chart(n, fac, [(n.lower(), fac.group.zero(), False)])
+               for n in "UVW")
+    atlas = Atlas()
+    for src, tgt, image in ((u, v, 2 * u.ctx.gen("u")), (v, u, v.ctx.gen("v")),
+                            (v, w, 3 * v.ctx.gen("v")), (u, w, u.ctx.gen("u"))):
+        atlas.add(TransitionMap(src, tgt, {0: image}))
+    assert cocycle_check(tangent_bundle(atlas)) == {"ok": False, "failures": [
+        {"kind": "inverse", "charts": ["U", "V"]},
+        {"kind": "inverse", "charts": ["V", "U"]},
+        {"kind": "triple", "charts": ["U", "V", "W"]},
+        {"kind": "triple", "charts": ["V", "U", "W"]}]}
+
+
 def test_shifts():
     atlas = linear_three_chart_atlas()
     tb = tangent_bundle(atlas)
