@@ -54,7 +54,7 @@ def main(argv=None) -> int:
         return 2
     except RhoError as e:
         # raised while parsing (the runner reports every statement's own
-        # errors), e.g. by a literal the model rejects such as Z/1
+        # errors), e.g. by a literal the model rejects such as Z^-1
         print(f"rhocalc: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
     except Exception as e:

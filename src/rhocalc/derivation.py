@@ -8,8 +8,12 @@ built once per (a, e) and kept on the derivation, goes between the
 monomial's prefix and suffix by two `mono_mul` calls (product-table reads
 after a pair's first time in the context) into one dict, with integer
 phases, making the scalar products of prefix * block * suffix (one root per
-reordering), so no conductor moves.  The commutator of two derivations is
-again a derivation, computed on generators."""
+reordering), so no conductor moves.  `image(m)`, X applied to a unit
+monomial m, is computed by `apply` once per derivation and kept in an image
+table beside the blocks (up to `algebra.PRODUCT_TABLE_CAP` entries): the
+exactness solver asks for Q(m) of the same span monomials on every solve.
+The commutator of two derivations is again a derivation, computed on
+generators."""
 
 from __future__ import annotations
 
@@ -17,8 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-from .algebra import (BASE, Context, GradedPoly, Var, add_term, adjoin_eps,
-                      lift_poly, substitute)
+from .algebra import (BASE, PRODUCT_TABLE_CAP, Context, GradedPoly, Var,
+                      add_term, adjoin_eps, lift_poly, substitute)
 from .cyclo import Cyclo
 from .errors import (ConstraintViolation, ContextMismatch, DegreeMismatch,
                      GradingViolation)
@@ -46,6 +50,7 @@ class Derivation:
             comps[a] = p
         self.components = comps
         self._blocks: dict = {}     # (a, e) -> X(x_a^e), read-only once built
+        self._images: dict = {}     # m -> X(m), read-only once built
 
     @cached_property
     def _row(self) -> list[int]:    # rho(|X|, |x_b|) = zeta_N^row[b]
@@ -95,6 +100,17 @@ class Derivation:
                 k = (k + e * self._row[a]) % ctx.conductor
         # mono_mul kept only valid monomials and add_term dropped every zero
         return GradedPoly._clean(ctx, out)
+
+    def image(self, m) -> GradedPoly:
+        """X applied to the unit monomial m: `apply` the first time, then a
+        read of the image table, which stops growing at PRODUCT_TABLE_CAP
+        entries (past that, each miss is recomputed and not stored)."""
+        img = self._images.get(m)
+        if img is None:
+            img = self.apply(GradedPoly(self.ctx, {m: Cyclo.one()}))
+            if len(self._images) < PRODUCT_TABLE_CAP:
+                self._images[m] = img
+        return img
 
     def _sandwich(self, lo, m, c, hi):
         """lo * (c m) * hi as (monomial, coefficient), None if it vanishes;

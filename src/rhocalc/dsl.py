@@ -363,9 +363,12 @@ class Parser:
             t = self.next()
             if t.text == "Z":
                 if self.accept("^"):
-                    free += self.integer()
+                    # each term is checked as a group: Z^2 * Z^-1 fails
+                    # as Z^-1 does, not as the sum of the ranks
+                    free += GroupSpec(self.integer()).free_rank
                 elif self.accept("/"):
-                    torsion.append(self.integer())
+                    torsion.append(self.checked_integer(
+                        lambda v: v >= 2, "a torsion order of at least 2"))
                 else:
                     free += 1
             elif t.text != "1":

@@ -16,6 +16,16 @@ from row i folds f's conductor and the pivot row's conductor into row i's.
 A zero left by cancellation stays in the dict unless the row's conductor
 already covers its own.  Solution entries are lifted to that lcm on the
 way out, so they print exactly as the dense solver printed them.
+
+Column index.  A scan of every row per pivot column costs O(m n) dict reads
+however sparse the system is, so the solver keeps, for each column, the
+set of rows whose dict holds an entry there, updated when an elimination
+fills or drops an entry.  Rows stay in place and a position permutation
+stands for the dense solver's swaps.  The pivot is the holder of the least
+position >= r whose entry is nonzero, which is the row the positional scan
+found, and only holders are eliminated; every other row would have been
+skipped.  So each `Cyclo` operation, and with it the conductor rule, is the
+one the scan made, and the output is byte for byte the same.
 """
 
 from __future__ import annotations
@@ -38,40 +48,50 @@ def solve_linear(rows: list[dict[int, Cyclo]], rhs: list[Cyclo], n: int):
     a = [{**row, n: b} if b.n != 1 or not b.is_zero() else dict(row)
          for row, b in zip(rows, rhs)]
     cond = [1] * m
+    holders = [set() for _ in range(n + 1)]     # column -> ids of rows holding it
+    for i, row in enumerate(a):
+        for j in row:
+            holders[j].add(i)
+    pos = list(range(m))        # row id -> position
+    at = list(range(m))         # position -> row id
     where = [-1] * n
     r = 0
     for col in range(n):
         if r == m:
             break
-        pivot = next((i for i in range(r, m)
-                      if col in a[i] and not a[i][col].is_zero()), None)
+        pivot = next((at[k] for k in sorted(pos[i] for i in holders[col])
+                      if k >= r and not a[at[k]][col].is_zero()), None)
         if pivot is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        cond[r], cond[pivot] = cond[pivot], cond[r]
-        prow = a[r]
+        k, top = pos[pivot], at[r]
+        at[r], at[k], pos[pivot], pos[top] = pivot, top, r, k
+        prow = a[pivot]
         p = prow.pop(col)
         inv = p.inverse()
         for j, y in prow.items():
             prow[j] = y * inv
-        cond[r] = math.lcm(cond[r], p.n)
-        for i in range(m):
-            f = a[i].get(col)
-            if i == r or f is None or f.is_zero():
-                continue
+        cond[pivot] = math.lcm(cond[pivot], p.n)
+        for i in holders[col]:
             row = a[i]
+            f = row.get(col)        # None on the pivot row, whose entry is popped
+            if f is None or f.is_zero():
+                continue
             del row[col]
-            c = math.lcm(cond[i], f.n, cond[r])
+            c = math.lcm(cond[i], f.n, cond[pivot])
             g = -f
             for j, y in prow.items():
                 x = row.get(j)
                 v = g * y if x is None else x + g * y
                 if v.is_zero() and c % v.n == 0:
-                    row.pop(j, None)
+                    if x is not None:
+                        del row[j]
+                        holders[j].discard(i)
                 else:
+                    if x is None:
+                        holders[j].add(i)
                     row[j] = v
             cond[i] = c
-        where[col] = r
+        where[col] = pivot
         r += 1
     sol = []
     for i in where:

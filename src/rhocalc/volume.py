@@ -149,7 +149,9 @@ def exactness_solve(c: GradedPoly, q: Derivation,
     and a failed solve certifies non-exactness; if the closure blows past
     `closure_cap` or its 64 rounds, a bounded-span solve may still certify
     exactness, else the result is inconclusive.  An `exact` certificate h is
-    re-verified as Q(h) == c before it is returned.
+    re-verified as Q(h) == c before it is returned.  The closure and the
+    solves read Q(m) from `q.image`, so each span monomial is applied once
+    per derivation, not once per solve.
     """
     ctx = c.ctx
     if q.ctx != ctx:
@@ -165,14 +167,6 @@ def exactness_solve(c: GradedPoly, q: Derivation,
         ea[a] = 1
         for tm in comp.terms:
             shifts.append(tuple(t - e for t, e in zip(tm, ea)))
-    images: dict = {}
-
-    def image(m):
-        """Q(m), computed once per monomial."""
-        img = images.get(m)
-        if img is None:
-            img = images[m] = q.apply(GradedPoly(ctx, {m: Cyclo.one()}))
-        return img
 
     def candidates(monos):
         out = set()
@@ -198,10 +192,10 @@ def exactness_solve(c: GradedPoly, q: Derivation,
             stopped_by = "closure_cap"
             break
         span |= fresh
-        frontier = {mu for m in fresh for mu in image(m).terms} - expanded
+        frontier = {mu for m in fresh for mu in q.image(m).terms} - expanded
         expanded |= frontier
 
-    result = _solve_over(ctx, sorted(span), c, image)
+    result = _solve_over(ctx, sorted(span), c, q)
     if result is not None:
         return _certified(c, q, result, len(span))
     if stopped_by is None:
@@ -210,7 +204,7 @@ def exactness_solve(c: GradedPoly, q: Derivation,
     if wide is None:
         stopped_by = "degree_bound"
     else:
-        result = _solve_over(ctx, sorted(set(wide) | span), c, image)
+        result = _solve_over(ctx, sorted(set(wide) | span), c, q)
         if result is not None:
             return _certified(c, q, result, len(wide))
     return ExactnessResult("inconclusive", None, len(span), stopped_by)
@@ -223,10 +217,10 @@ def _certified(c: GradedPoly, q: Derivation, h: GradedPoly,
     return ExactnessResult("exact", h, searched)
 
 
-def _solve_over(ctx: Context, basis, c: GradedPoly, image):
+def _solve_over(ctx: Context, basis, c: GradedPoly, q: Derivation):
     if not basis:
         return ctx.zero() if c.is_zero() else None
-    images = [image(m) for m in basis]
+    images = [q.image(m) for m in basis]
     eq_monos = set(c.terms)
     for img in images:
         eq_monos |= set(img.terms)

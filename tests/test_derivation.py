@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import rhocalc.derivation as derivation
 from rhocalc.algebra import Context, GradedPoly, Var
 from rhocalc.cyclo import Cyclo
 from rhocalc.derivation import (Derivation, LieStructure, ce_differential,
@@ -15,9 +16,32 @@ from rhocalc.errors import (ConstraintViolation, DegreeMismatch,
                             GradingViolation)
 from rhocalc.grading import GroupSpec, super_factor, trivial_factor
 
-from conftest import (chevalley_context, random_derivation,
+from conftest import (all_monomials, chevalley_context, random_derivation,
                       random_homogeneous, random_poly, super_context,
                       torus8_context, torus_context, zline_context)
+
+
+@pytest.mark.parametrize("make", [super_context, torus8_context,
+                                  lambda: zline_context(truncation=4)])
+def test_image_is_apply_of_the_unit_monomial(make, rng):
+    ctx = make()
+    for _ in range(3):
+        x = random_derivation(ctx, rng)
+        for m in all_monomials(ctx, maxexp=2):
+            want = x.apply(GradedPoly(ctx, {m: Cyclo.one()}))
+            assert x.image(m) == want
+            assert x.image(m) is x.image(m)     # the second call reads the table
+
+
+def test_image_table_stops_growing_at_the_cap(monkeypatch, sctx, rng):
+    monkeypatch.setattr(derivation, "PRODUCT_TABLE_CAP", 5)
+    x = random_derivation(sctx, rng, degree=sctx.factor.group.degree(1))
+    monos = all_monomials(sctx, maxexp=2)
+    assert len(monos) > 10
+    for _ in range(2):
+        for m in monos:
+            assert x.image(m) == x.apply(GradedPoly(sctx, {m: Cyclo.one()}))
+    assert list(x._images) == monos[:5]
 
 
 def test_partial_on_powers(sctx):

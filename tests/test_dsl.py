@@ -475,10 +475,11 @@ _U = "group Z/2; factor super;\nchart U { base x; formal xi deg (1); }\n"
     pytest.param(_U + "normalize x + 1" + "0" * 5000 + " on U;", 2,
                  "expected an integer of at most", "line 3, col 15",
                  id="5001-digit-literal"),
+    ("group Z/1;", 2, "expected a torsion order of at least 2", "line 1, col 9"),
+    ("group Z/0;", 2, "expected a torsion order of at least 2", "line 1, col 9"),
     # a RhoError raised while parsing is a one-line exit 2 as well
-    ("group Z/1;", 2, "ConstraintViolation: torsion_order", ""),
-    ("group Z/0;", 2, "ConstraintViolation: torsion_order", ""),
     ("group Z^-1;", 2, "ConstraintViolation: free_rank", ""),
+    ("group Z^2 * Z^-1;", 2, "ConstraintViolation: free_rank", ""),
     # scenario parameters are checked when the command runs: exit 1
     ("scenarios torus m=1/2;", 1, '"error": "BadParameter"', ""),
     ("scenarios torus m=-1;", 1, '"error": "BadParameter"', ""),

@@ -9,10 +9,12 @@ values independently of the solver's code and pivot rule.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from rhocalc import linsolve
 from rhocalc.cyclo import Cyclo
 from rhocalc.linsolve import solve_linear
 
@@ -101,6 +103,53 @@ def _same(got, want):
     return (got is not None and len(got) == len(want)
             and all(g.n == w.n and g.text() == w.text()
                     for g, w in zip(got, want)))
+
+
+def _sparse_system(rng, consistent):
+    """Up to 40 x 40 with at most 3 nonzeros a row, a few zeros of conductor
+    above 1 the sparse rows keep, and some rows that are multiples or sums
+    of earlier rows, so pivots fill, drop and swap rows far apart."""
+    m, n = rng.randint(20, 40), rng.randint(20, 40)
+    rows = []
+    for i in range(m):
+        row = [Cyclo.zero()] * n
+        for j in rng.sample(range(n), rng.randint(1, 3)):
+            row[j] = _entry(rng, 1.0)
+        for j in rng.sample(range(n), rng.choice((0, 0, 1, 2))):
+            row[j] = Cyclo(rng.choice(CONDUCTORS[1:]), [0])
+        if i > 1 and rng.random() < 0.15:
+            f, k, l = _entry(rng, 1.0), rng.randrange(i), rng.randrange(i)
+            row = [f * x + y for x, y in zip(rows[k], rows[l])]
+        rows.append(row)
+    x = [_entry(rng, 0.5) for _ in range(n)]
+    rhs = []
+    for row in rows:
+        acc = Cyclo.zero()
+        for a, b in zip(row, x):
+            acc = acc + a * b
+        rhs.append(acc)
+    if not consistent:
+        # off in one row: inconsistent unless that row is free to move
+        i = rng.randrange(m)
+        rhs[i] = rhs[i] + _entry(rng, 1.0)
+    return rows, rhs
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_sparse_matches_dense_on_larger_sparse_systems(consistent):
+    rng = random.Random(f"linsolve-sparse/{consistent}")
+    outcomes = set()
+    lifted = kept = 0
+    for _ in range(30):
+        rows, rhs = _sparse_system(rng, consistent)
+        kept += sum(1 for row in rows for x in row if x.n > 1 and x.is_zero())
+        want = dense_solve_linear(rows, rhs)
+        got = sparse_solve(rows, rhs)
+        assert _same(got, want), (rows, rhs, got, want)
+        outcomes.add(want is None)
+        lifted += sum(1 for w in want or () if w.n > 1)
+    assert outcomes == ({False} if consistent else {True, False})
+    assert kept > 1000 and lifted > 100
 
 
 @pytest.mark.parametrize("consistent", [True, False])
@@ -227,3 +276,51 @@ def test_bidiagonal_solve_does_sparse_work(monkeypatch):
     assert [x.as_fraction() for x in sol] == want
     nnz = sum(map(len, rows))
     assert len(calls) < 20 * nnz
+
+
+def _solver_lines(rows, rhs, n):
+    """solve_linear's solution and the number of lines of linsolve.py it
+    ran: a count of its steps, scans and dict reads included, that does not
+    depend on the host's speed."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if frame.f_code.co_filename != linsolve.__file__:
+            return None
+        count += event == "line"
+        return trace
+
+    old = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        sol = solve_linear(rows, rhs, n)
+    finally:
+        sys.settrace(old)
+    return sol, count
+
+
+def _line_form_system(n):
+    """The exactness system of Q(z) = dz + z^2 dz over z^1 .. z^n: column
+    k - 1 is Q(z^k) = k z^(k-1) dz + k z^(k+1) dz, two rows per column, and
+    the rhs is Q of a seeded h."""
+    rng = random.Random(f"linsolve-line-form/{n}")
+    rows = [{} for _ in range(n + 2)]
+    for k in range(1, n + 1):
+        rows[k - 1][k - 1] = rows[k + 1][k - 1] = Cyclo.rational(k)
+    h = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
+    rhs = [sum((x.as_fraction() * h[j] for j, x in row.items()), Fraction(0))
+           for row in rows]
+    return rows, [Cyclo.rational(b) for b in rhs], h
+
+
+def test_line_form_solve_work_grows_linearly():
+    # a solver that scans every row for each pivot column runs about
+    # 4 times the lines at twice the columns
+    work = []
+    for n in (200, 400):
+        rows, rhs, h = _line_form_system(n)
+        sol, lines = _solver_lines(rows, rhs, n)
+        assert [x.as_fraction() for x in sol] == h
+        work.append(lines)
+    assert work[1] < 3 * work[0], work

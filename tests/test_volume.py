@@ -19,8 +19,8 @@ from rhocalc.volume import (VolumeForm, divergence, divergence_on_chart,
                             lie_derivative_volume, modular_class,
                             volumes_equivalent)
 
-from conftest import (line_form_blowup, line_form_chart, random_derivation,
-                      random_homogeneous)
+from conftest import (cyclic_garbage, line_form_blowup, line_form_chart,
+                      random_derivation, random_homogeneous)
 
 
 def super_chart(name="U"):
@@ -244,6 +244,22 @@ def test_exactness_applies_q_once_per_monomial(monkeypatch):
     monos = [next(iter(f.terms)) for f in calls[1:-1]]
     assert all(len(f.terms) == 1 for f in calls[1:-1])
     assert len(monos) == len(set(monos)) >= res.searched
+    # the images live on q: a second solve applies Q only to check c and
+    # the certificate
+    calls.clear()
+    again = exactness_solve(c, q)
+    assert calls == [c, res.certificate]
+    assert again.payload() == res.payload()
+
+
+def test_two_exactness_solves_leave_no_cyclic_garbage():
+    ctx, q = line_form_blowup()
+    c = q.apply(ctx.gen("z"))
+
+    def two_solves():
+        for _ in range(2):
+            assert exactness_solve(c, q).verdict == "exact"
+    assert cyclic_garbage(two_solves) == 0
 
 
 def test_exactness_rejects_a_wrong_certificate(monkeypatch):
