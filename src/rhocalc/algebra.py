@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .cyclo import Cyclo, fraction_text, signed_sum
+from .cyclo import Cyclo, signed_sum
 from .errors import (ConstraintViolation, ContextMismatch, NegativePower,
                      NotHomogeneous, NotInvertible, TruncationRequired,
                      UnsupportedConstantPart)
@@ -597,20 +597,12 @@ def poly_text(f: GradedPoly) -> str:
                 continue
             factors.append(v.name if e == 1 else f"{v.name}^{e}")
         body = " * ".join(factors)
-        neg = False
-        if c.is_rational():
-            q = c.as_fraction()
-            neg, mag = q < 0, abs(q)
-            stxt = fraction_text(mag)
-            if body and mag == 1:
+        parts = c.printed_terms()
+        if len(parts) == 1:
+            (sign, stxt), = parts
+            if body and stxt == "1":
                 stxt = ""
         else:
-            parts = c.printed_terms()
-            if len(parts) == 1:
-                (sign, stxt), = parts
-                neg = sign == "-"
-            else:
-                stxt = f"({signed_sum(parts)})"
-        term = " * ".join(x for x in (stxt, body) if x)
-        chunks.append(("-" if neg else "+", term))
+            sign, stxt = "+", f"({signed_sum(parts)})"
+        chunks.append((sign, " * ".join(x for x in (stxt, body) if x)))
     return signed_sum(chunks)

@@ -441,7 +441,11 @@ class Cyclo:
 
     def printed_terms(self) -> list[tuple[str, str]]:
         """The (sign, magnitude) pairs of `text`, one per nonzero
-        power-basis coefficient: one conversion from the stored slots."""
+        power-basis coefficient: one conversion from the stored slots, and
+        none for a nonzero rational, whose one coefficient is slot 0."""
+        q = self.num[0]
+        if q and self.is_rational():
+            return [("-" if q < 0 else "+", fraction_text(Fraction(abs(q), self.den)))]
         parts = []
         for k, c in enumerate(self.coeffs):
             if c == 0:

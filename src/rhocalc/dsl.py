@@ -417,10 +417,13 @@ class Parser:
         return {"name": name, "coords": coords}
 
     def bindings(self, what: str, sep: str) -> list:
-        """(name sep poly ';')* '}' as (name token, poly) pairs."""
-        out = []
+        """(name sep poly ';')* '}' as (name token, poly) pairs, each name once."""
+        out, seen = [], set()
         while not self.accept("}"):
             v = self.name(what)
+            if v.text in seen:
+                raise DslSyntaxError(v.line, v.col, f"{what} not yet bound")
+            seen.add(v.text)
             self.expect(sep)
             out.append((v, self.poly_expr()))
             self.expect(";")
@@ -557,11 +560,6 @@ class Session:
             raise ResolveError("factor (declare one before this statement)")
         return self.factor
 
-    def degree(self, parts) -> Degree:
-        if self.group is None:
-            raise ResolveError("group (declare one before degrees)")
-        return self.group.degree(*parts)
-
 
 def _coord_index(ctx: Context, tok: Tok, name: str | None = None) -> int:
     """Index of coordinate `name` (default: tok's text) in ctx; an unknown
@@ -647,7 +645,7 @@ class Runner:
         fac = s.need_factor()
         coords = []
         for c in st["coords"]:
-            deg = fac.group.zero() if c["degree"] is None else s.degree(c["degree"])
+            deg = fac.group.zero() if c["degree"] is None else fac.group.degree(*c["degree"])
             coords.append((c["name"], deg, c["invertible"]))
         chart = make_chart(name, fac, coords, truncation=s.truncation)
         s.charts[name] = chart

@@ -214,7 +214,7 @@ def shift_degree(b: BundleSpec, i: Degree) -> BundleSpec:
 
 def pullback_matrix(m: GradedMatrix, t: TransitionMap) -> GradedMatrix:
     ents = [[t.pullback(e) for e in row] for row in m.entries]
-    return GradedMatrix(t.source.ctx, m.rows, m.cols, m.degree, ents, check=False)
+    return GradedMatrix(t.source.ctx, m.rows, m.cols, m.degree, ents)
 
 
 def frame_to_coordinate_matrix(jac: GradedMatrix) -> GradedMatrix:
@@ -227,8 +227,7 @@ def frame_to_coordinate_matrix(jac: GradedMatrix) -> GradedMatrix:
             w = jac.ctx.factor.rho(ib, ia - ib)
             row.append(jac.entries[a][b].scale(w))
         ents.append(row)
-    return GradedMatrix(jac.ctx, jac.rows, jac.cols, jac.degree, ents,
-                        check=False)
+    return GradedMatrix(jac.ctx, jac.rows, jac.cols, jac.degree, ents)
 
 
 def tangent_bundle(atlas: Atlas) -> BundleSpec:

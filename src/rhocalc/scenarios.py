@@ -49,7 +49,8 @@ def torus_scenario(m: int = 2, theta12=Fraction(1, 4)):
         "modular": report.payload(),
         "expected_representative": expected.text(),
         "matches_closed_form": (report.representative == expected
-                          and report.verdict == "not_exact_degree_complete"),
+                          and report.verdict == ("exact" if expected.is_zero()
+                                                 else "not_exact_degree_complete")),
         "diagnostics": {"conductor": ctx.conductor, "truncation": ctx.truncation},
     }
     return payload, {"chart": chart, "q": q, "vol": vol, "report": report,

@@ -151,7 +151,10 @@ def exactness_solve(c: GradedPoly, q: Derivation,
     exactness, else the result is inconclusive.  An `exact` certificate h is
     re-verified as Q(h) == c before it is returned.  The closure and the
     solves read Q(m) from `q.image`, so each span monomial is applied once
-    per derivation, not once per solve.
+    per derivation, not once per solve.  No candidate's degree is tested:
+    c (`degree_of` raises otherwise) and Q's components are homogeneous, so
+    each expanded monomial has degree |c|, each shift |Q|, and each
+    candidate |c| - |Q|, since `mono_degree` is additive.
     """
     ctx = c.ctx
     if q.ctx != ctx:
@@ -173,7 +176,7 @@ def exactness_solve(c: GradedPoly, q: Derivation,
         for mu in monos:
             for sh in shifts:
                 cand = tuple(m - s for m, s in zip(mu, sh))
-                if ctx.mono_valid(cand) and ctx.mono_degree(cand) == hdeg:
+                if ctx.mono_valid(cand):
                     out.add(cand)
         return out
 
@@ -218,8 +221,6 @@ def _certified(c: GradedPoly, q: Derivation, h: GradedPoly,
 
 
 def _solve_over(ctx: Context, basis, c: GradedPoly, q: Derivation):
-    if not basis:
-        return ctx.zero() if c.is_zero() else None
     images = [q.image(m) for m in basis]
     eq_monos = set(c.terms)
     for img in images:

@@ -480,6 +480,13 @@ _U = "group Z/2; factor super;\nchart U { base x; formal xi deg (1); }\n"
     # a RhoError raised while parsing is a one-line exit 2 as well
     ("group Z^-1;", 2, "ConstraintViolation: free_rank", ""),
     ("group Z^2 * Z^-1;", 2, "ConstraintViolation: free_rank", ""),
+    # a coordinate bound twice in one block is refused at its second name;
+    # the derivation sum form still adds its terms (see below)
+    (_U + "derivation Q on U deg (1) { xi -> x; xi -> x * xi; }", 2,
+     "expected a coordinate not yet bound", "line 3, col 38"),
+    ("group Z/2; factor super;\nchart U { base x; base z; }\nchart V { base y; }\n"
+     "transition T : U -> V { y = x; y = z; }", 2,
+     "expected a target coordinate not yet bound", "line 4, col 32"),
     # scenario parameters are checked when the command runs: exit 1
     ("scenarios torus m=1/2;", 1, '"error": "BadParameter"', ""),
     ("scenarios torus m=-1;", 1, '"error": "BadParameter"', ""),
@@ -500,6 +507,39 @@ def test_cli_rejects_bad_literals_without_traceback(tmp_path, capsys, text,
         assert err.startswith("rhocalc: ") and error in err and where in err
     else:
         assert err == "" and error in out and "   ERROR\n" in out
+
+
+def test_statements_out_of_order_and_malformed_derivation_terms():
+    # a chart before any factor and phases before any group fail their
+    # declaration; a bare d/dx is the coefficient 1, and a sum form adds
+    # two terms on one coordinate; d / x and normal(U) are syntax errors
+    reports, ok = run_text("chart U { base x; }")
+    assert not ok and reports[0].result["message"] == \
+        "undeclared name: factor (declare one before this statement)"
+    reports, ok = run_text("factor phases [[1/2]];")
+    assert not ok and reports[0].result["message"] == \
+        "undeclared name: group (phases need a group)"
+    reports, ok = run_text(_U + "derivation X on U = d/dx + x * d/dx;")
+    assert ok and reports[-1].result["components"] == {"x": "1 + x"}
+    for text, col in ((_U + "derivation X on U = d / x;", 25),
+                      (_U + "bundle B = normal(U);", 12)):
+        with pytest.raises(DslSyntaxError) as err:
+            parse_session(text)
+        assert (err.value.line, err.value.col) == (3, col)
+    assert err.value.expected == "'tangent' or 'cotangent'"
+
+
+def test_normalize_prints_a_rational_past_the_int_str_digit_limit():
+    # in process: (10^2200 - 1)^2 has 4,400 digits, past the default limit
+    # of 4,300, and prints in 1000-digit chunks
+    nines = "9" * 2200
+    square = "9" * 2199 + "8" + "0" * 2199 + "1"
+    assert len(square) > sys.get_int_max_str_digits() > 0
+    reports, ok = run_text(_U + f"normalize {nines} * {nines} * x on U;\n"
+                           f"normalize -1/{nines} * 1/{nines} on U;")
+    assert ok
+    assert [r.result["value"] for r in reports[3:]] == [f"{square} * x",
+                                                        f"-1/{square}"]
 
 
 def _mutants(text, count, seed):

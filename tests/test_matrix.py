@@ -17,8 +17,8 @@ from rhocalc import cyclo, matrix
 from rhocalc.cyclo import Cyclo
 from rhocalc.errors import (GradingViolation, MixedParity, NonzeroDegree,
                             NotInvertible, ShapeMismatch, TruncationRequired)
-from rhocalc.grading import (GroupSpec, super_factor, torus_factor,
-                             trivial_factor)
+from rhocalc.grading import (CommutationFactor, GroupSpec, super_factor,
+                             torus_factor, trivial_factor)
 from rhocalc.matrix import (GradedMatrix, _Walk, classify_tuple,
                             inverse, left_act, linearize_ber, linearize_det,
                             rho_ber, rho_det, rho_det_properties_check, rho_tr,
@@ -86,15 +86,14 @@ def adjugate_inverse(f):
         adj.append(row)
     f0inv = GradedMatrix(ctx, f.rows, f.rows, f.degree, adj)
     rest = GradedMatrix(ctx, f.rows, f.rows, f.degree,
-                        f.map_entries(lambda e: e.i_positive_part()), check=False)
+                        f.map_entries(lambda e: e.i_positive_part()))
     nil = f0inv @ rest
     geo, power, sign = GradedMatrix.identity(ctx, f.rows), nil, -1
     for _ in range(ctx.series_bound(slack=n) + 1):
         if all(e.is_zero() for row in power.entries for e in row):
             return geo @ f0inv
         geo = geo + GradedMatrix(ctx, f.rows, f.rows, f.degree,
-                                 power.map_entries(lambda e: e.scale(sign)),
-                                 check=False)
+                                 power.map_entries(lambda e: e.scale(sign)))
         power, sign = power @ nil, -sign
     raise TruncationRequired("oracle series does not terminate")
 
@@ -331,12 +330,40 @@ def torus_triangular(ctx, rng, degs):
 
 def test_rho_det_lemma_properties_torus(tctx, rng):
     g = tctx.factor.group
-    degs = (g.zero(), g.generator(0), g.degree(1, 1))
-    for _ in range(12):
-        f = torus_triangular(tctx, rng, degs)
-        gm = torus_triangular(tctx, rng, degs)
-        rep = rho_det_properties_check(f, gm)
-        assert rep["ok"], rep
+    # rows 0 and 2 of the second tuple share a degree, so its repeated-row
+    # rule has a well-graded copy to test
+    for degs in ((g.zero(), g.generator(0), g.degree(1, 1)),
+                 (g.zero(), g.generator(0), g.zero())):
+        for _ in range(12):
+            f = torus_triangular(tctx, rng, degs)
+            gm = torus_triangular(tctx, rng, degs)
+            rep = rho_det_properties_check(f, gm)
+            assert rep["ok"], rep
+
+
+def test_the_properties_check_builds_only_well_graded_matrices(monkeypatch,
+                                                               tctx, rng):
+    # a row is copied only onto a row of its degree: with three distinct
+    # degrees the repeated-row rule holds vacuously, and with rows 0 and 2
+    # of one degree row 2 is copied onto row 0
+    built = []
+    init = GradedMatrix.__init__
+    monkeypatch.setattr(GradedMatrix, "__init__",
+                        lambda self, *a, **k: init(self, *a, **k) or built.append(self))
+    g = tctx.factor.group
+    for degs, copied in (((g.zero(), g.generator(0), g.degree(1, 1)), False),
+                         ((g.zero(), g.generator(0), g.zero()), True)):
+        for _ in range(4):
+            f = torus_triangular(tctx, rng, degs)
+            gm = torus_triangular(tctx, rng, degs)
+            del built[:]
+            assert rho_det_properties_check(f, gm)["ok"]
+            assert any(m.entries[0] == m.entries[2] == f.entries[2]
+                       for m in built) == copied
+            for m in built:
+                for k, i in enumerate(m.rows):
+                    for l, j in enumerate(m.cols):
+                        assert m.entries[k][l].has_degree(i - j + m.degree), (k, l)
 
 
 def test_linearize_det_even_and_odd(sctx, rng):
@@ -1150,6 +1177,90 @@ def test_inverse_and_ber_match_the_adjugate_oracle(family):
                     assert_same_bytes(a, b)
             checked += 1
     assert checked >= 8
+
+
+def _mixed_class_context():
+    """Z^2 x Z/2, phase 1/8 between the free generators and 1/2 on the
+    torsion one: four even degree classes, two odd ones, a Laurent z, a
+    plain base x, even formals u1, v1, u2 and odd formals th, ph."""
+    fac = CommutationFactor(GroupSpec(2, (2,)), [[0, Fraction(1, 8), 0],
+                                                 [Fraction(-1, 8), 0, 0],
+                                                 [0, 0, Fraction(1, 2)]])
+    g = fac.group
+    return Context(fac, [Var("z", g.zero(), "base", invertible=True),
+                         Var("x", g.zero(), "base"),
+                         Var("u1", g.degree(1, 0, 0), "even"),
+                         Var("v1", g.degree(-1, 0, 0), "even"),
+                         Var("u2", g.degree(0, 1, 0), "even"),
+                         Var("th", g.degree(0, 0, 1), "odd"),
+                         Var("ph", g.degree(1, 0, 1), "odd")],
+                   truncation=2, name="mixed")
+
+
+def _mixed_class_case(ctx, rng):
+    """A degree-0 matrix over 1-3 even rows of mixed classes and 0-2 odd
+    rows: Laurent parts from 0, c, c z, c z^-1 and c x on the equal-degree
+    entries, so the even block is a unit in about a quarter of the cases,
+    plus one formal term where the degree has one."""
+    g = ctx.factor.group
+    even = [g.degree(*d) for d in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0))]
+    odd = [g.degree(*d) for d in ((0, 0, 1), (1, 0, 1))]
+    degs = (tuple(rng.choice(even) for _ in range(rng.randint(1, 3)))
+            + tuple(rng.choice(odd) for _ in range(rng.randint(0, 2))))
+    buckets = monomials_by_degree(ctx, 1)
+    z, x = ctx.gen("z"), ctx.gen("x")
+    ents = []
+    for k, dk in enumerate(degs):
+        row = []
+        for l, dl in enumerate(degs):
+            want = dk - dl
+            formal = [m for m in buckets.get(want, []) if ctx.i_order(m) > 0]
+            e = ctx.zero()
+            if formal and rng.random() < 0.7:
+                e = GradedPoly(ctx, {rng.choice(formal): Cyclo.rational(random_scalar(rng))})
+            if want.is_zero() and (k == l or rng.random() < 0.4):
+                c = ctx.scalar(random_scalar(rng))
+                e = e + rng.choice([c, c, c * z, c * z.invert(), c * x,
+                                    ctx.zero()])
+            row.append(e)
+        ents.append(row)
+    return GradedMatrix(ctx, degs, degs, g.zero(), ents)
+
+
+def test_ber_tests_its_even_block_through_the_schur_determinant(monkeypatch):
+    # the Laurent part of rho_det is the walk of the Laurent parts, over
+    # mixed even degree classes and a 1/8 twist; so rho_ber, which reads it
+    # off the Schur determinant, is zero exactly when the Laurent walk of
+    # f00 or the inverse of f11 fails, and builds no walk of its own
+    ctx = _mixed_class_context()
+    rng = random.Random("mixed classes")
+    walks = []
+    init = _Walk.__init__
+    monkeypatch.setattr(_Walk, "__init__",
+                        lambda self, *a, **k: walks.append(a) or init(self, *a, **k))
+    zero = units = 0
+    for _ in range(60):
+        f = _mixed_class_case(ctx, rng)
+        ne = split_point(ctx.factor, f.rows)
+        ev, od = list(range(ne)), list(range(ne, f.nrows))
+        f00 = f.submatrix(ev, ev)
+        laurent = _Walk(ctx, f00.map_entries(lambda e: e.i_free_part())).expand()[None]
+        assert rho_det(f00).i_free_part() == laurent
+        try:
+            inverse(f.submatrix(od, od))
+            laurent.invert()
+            singular = False
+        except NotInvertible:
+            singular = True
+        del walks[:]
+        got = rho_ber(f)
+        assert got.is_zero() == singular
+        if not singular:
+            assert len(walks) == 2 + bool(od)    # two rho_dets and f11's inverse
+        assert_same_bytes(got, adjugate_rho_ber(f))
+        zero += singular
+        units += not singular
+    assert zero >= 10 and units >= 10, (zero, units)
 
 
 def test_det_ber_digests_match_bench_references(monkeypatch):

@@ -26,6 +26,11 @@ def test_torus_scenario_closed_form():
     payload3, objs3 = torus_scenario(m=3, theta12=Fraction(1, 8))
     assert payload3["matches_closed_form"]
     assert objs3["chart"].ctx.conductor == 8
+    # at m = 0 the closed form is the empty sum, and the class 0 is exact
+    for m in (0, 1):
+        payload, objs = torus_scenario(m=m)
+        assert payload["matches_closed_form"], m
+        assert (objs["report"].verdict == "exact") == (m == 0)
 
 
 def test_torus_brst_field_is_homological():

@@ -212,6 +212,23 @@ def test_exactness_inconclusive_when_closure_blows_up():
     assert q.apply(res2.certificate) == c2
 
 
+def test_bounded_span_stops_past_the_cap(monkeypatch):
+    # over three Laurent coordinates the l1 ball of radius 40 holds about
+    # 86,000 monomials: the span stops at _SPAN_CAP + 1 of them, testing no
+    # monomial after that
+    fac = super_factor()
+    g = fac.group
+    ctx = Context(fac, [Var(v, g.zero(), "base", invertible=True) for v in "abc"])
+    calls = []
+    valid = Context.mono_valid
+    monkeypatch.setattr(Context, "mono_valid",
+                        lambda self, m: calls.append(m) or valid(self, m))
+    assert volume._bounded_span(ctx, g.zero(), 40) is None
+    assert len(calls) == volume._SPAN_CAP + 1
+    del calls[:]
+    assert len(volume._bounded_span(ctx, g.zero(), 3)) == len(calls) == 63
+
+
 def test_exactness_certifies_through_the_bounded_span(monkeypatch):
     # at closure_cap=1 the closure is cut before it keeps a monomial, so
     # only the degree-bounded span (17 monomials at the default bound) can
