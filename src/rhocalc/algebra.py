@@ -28,7 +28,7 @@ from .errors import (ConstraintViolation, ContextMismatch, NegativePower,
 from .grading import EVEN, ODD, CommutationFactor, Degree
 
 BASE = "base"
-_MISSING = object()     # a product-table miss; None is a stored answer
+_MISSING = object()     # a table miss; None is a stored answer
 # entries a context's product table keeps at most (about 215 bytes each):
 # twenty times the largest table a benchmark task builds (792 entries)
 PRODUCT_TABLE_CAP = 1 << 14
@@ -96,6 +96,11 @@ class Context:
                         if not v.invertible or v.cap is not None]
         self._degree_cache: dict[tuple[int, ...], object] = {}
         self._products: dict[tuple, tuple[int, tuple[int, ...]] | None] = {}
+        # name -> unit monomial of the variable, None when it is not valid
+        self._units: dict[str, tuple[int, ...] | None] = {}
+        # a -> the Leibniz block table that every d/dx^a of this context
+        # shares (see `derivation.partial`); plain dicts, no back-reference
+        self._partial_blocks: dict[int, dict] = {}
 
     # -- lookups -------------------------------------------------------------
 
@@ -206,7 +211,14 @@ class Context:
         return self.scalar(1)
 
     def gen(self, name: str, power: int = 1) -> "GradedPoly":
-        return self.monomial(1, {name: power})
+        """The generator `name` to the given power; the first power reads
+        the context's table of unit monomials, each call a fresh dict."""
+        if power != 1:
+            return self.monomial(1, {name: power})
+        mono = self._units.get(name, _MISSING)
+        if mono is _MISSING:
+            mono = self._units[name] = next(iter(self.monomial(1, {name: 1}).terms), None)
+        return GradedPoly._clean(self, {} if mono is None else {mono: Cyclo.one()})
 
     def monomial(self, coef, exps: dict[str, int]) -> "GradedPoly":
         mono = [0] * self.nvars
@@ -429,6 +441,8 @@ class GradedPoly:
             return self.scale(other)
         self._need_same(other)
         ctx = self.ctx
+        if not (self.terms and other.terms):
+            return ctx.zero()
         root = ctx.factor.root
         out: dict = {}
         for m1, c1 in self.terms.items():

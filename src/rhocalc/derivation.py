@@ -4,14 +4,16 @@ A derivation is determined by its values on the generators (termwise action
 on the coefficient-times-monomial decomposition), so it is stored as a finite
 component map together with its degree.  Application implements the twisted
 Leibniz rule exactly as one term kernel: each term of the block X(x_a^e),
-built once per (a, e) and kept on the derivation, goes between the
+built once per (a, e) and kept on the derivation (for a coordinate partial,
+on its context, shared by every d/dx^a there), goes between the
 monomial's prefix and suffix by two `mono_mul` calls (product-table reads
 after a pair's first time in the context) into one dict, with integer
 phases, making the scalar products of prefix * block * suffix (one root per
 reordering), so no conductor moves.  `image(m)`, X applied to a unit
 monomial m, is computed by `apply` once per derivation and kept in an image
-table beside the blocks (up to `algebra.PRODUCT_TABLE_CAP` entries): the
-exactness solver asks for Q(m) of the same span monomials on every solve.
+table beside the blocks (each table up to `algebra.PRODUCT_TABLE_CAP`
+entries): the exactness solver asks for Q(m) of the same span monomials on
+every solve.
 The commutator of two derivations is again a derivation, computed on
 generators."""
 
@@ -92,7 +94,9 @@ class Derivation:
                     suf = (0,) * (a + 1) + mono[a + 1:]
                     block = self._blocks.get((a, e))
                     if block is None:
-                        block = self._blocks[a, e] = self._power_derivative(a, e, comp)
+                        block = self._power_derivative(a, e, comp)
+                        if len(self._blocks) < PRODUCT_TABLE_CAP:
+                            self._blocks[a, e] = block
                     for m, v in block.items():
                         hit = self._sandwich(pre, m, v, suf)
                         if hit is not None:
@@ -179,11 +183,14 @@ class Derivation:
 
 
 def partial(ctx: Context, name: str) -> Derivation:
-    """The coordinate derivative: unique derivation with d(x^b) = delta_ab."""
+    """The coordinate derivative: unique derivation with d(x^b) = delta_ab.
+    Every d/dx^a of one context shares the block table kept on the context,
+    so each block X(x_a^e) is built once per context."""
     a = ctx.index(name)
     d = Derivation(ctx, -ctx.variables[a].degree, {}, f"d/d{name}")
     d.components[a] = ctx.one()     # degree 0 = |d/dx^a| + |x^a|
     d._row = [-k % ctx.conductor for k in ctx._pair[a]]   # rho(-|x_a|, |x_b|)
+    d._blocks = ctx._partial_blocks.setdefault(a, {})
     return d
 
 
@@ -200,8 +207,9 @@ def commutator(x: Derivation, y: Derivation) -> Derivation:
         raise ContextMismatch("commutator of derivations")
     ctx = x.ctx
     rho = ctx.factor.rho(x.degree, y.degree)
+    # a coordinate where neither has a component gets X(0) - Y(0) = 0
     comps = {a: x.apply(y.component(a)) - y.apply(x.component(a)).scale(rho)
-             for a in range(ctx.nvars)}
+             for a in sorted(x.components.keys() | y.components.keys())}
     return Derivation(ctx, x.degree + y.degree, comps,
                       f"[{x.name},{y.name}]")
 

@@ -28,6 +28,10 @@ class Chart:
 
     name: str
     ctx: Context
+    # (doubled context, d), set by the first de_rham(self) and shared by the
+    # later ones; neither refers back to the chart
+    _derham: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def degree_tuple(self) -> tuple[Degree, ...]:
@@ -316,21 +320,25 @@ class DeRhamChart:
 
 
 def de_rham(base: Chart) -> DeRhamChart:
-    """Doubled chart with odd/even dx's over the Z x G factor, and d."""
+    """Doubled chart with odd/even dx's over the Z x G factor, and d.  The
+    doubled context and d are built once per chart, so every de Rham chart
+    of `base` shares their product and block tables."""
     ctx = base.ctx
-    fac = ctx.factor
-    pfac = fac.extend_prime()
-    extra = []
     n = ctx.nvars
-    for v in ctx.variables:
-        dd = fac.prime_degree(1, v.degree)
-        extra.append(Var("d" + v.name, dd, pfac.parity(dd)))
-    big = prime_context(ctx, extra, name=base.name + "^dR")
-    chart = Chart(base.name + "^dR", big)
-    dvar = {a: n + a for a in range(n)}
-    comps = {a: big.gen("d" + ctx.variables[a].name) for a in range(n)}
-    d = Derivation(big, fac.prime_degree(1, fac.group.zero()), comps, name="d")
-    return DeRhamChart(base, chart, dvar, d)
+    if base._derham is None:
+        fac = ctx.factor
+        pfac = fac.extend_prime()
+        extra = []
+        for v in ctx.variables:
+            dd = fac.prime_degree(1, v.degree)
+            extra.append(Var("d" + v.name, dd, pfac.parity(dd)))
+        big = prime_context(ctx, extra, name=base.name + "^dR")
+        comps = {a: big.gen("d" + ctx.variables[a].name) for a in range(n)}
+        d = Derivation(big, fac.prime_degree(1, fac.group.zero()), comps, name="d")
+        object.__setattr__(base, "_derham", (big, d))
+    big, d = base._derham
+    return DeRhamChart(base, Chart(base.name + "^dR", big),
+                       {a: n + a for a in range(n)}, d)
 
 
 def de_rham_transition(src: DeRhamChart, tgt: DeRhamChart,

@@ -71,12 +71,25 @@ class GroupSpec:
         return " * ".join(bits) if bits else "1"
 
 
-@dataclass(frozen=True)
 class Degree:
-    """Element of a grading group; torsion components stored canonically."""
+    """Element of a grading group; torsion components stored canonically.
+    Treated as immutable: the hash of `parts` is taken once, when built."""
 
-    group: GroupSpec
-    parts: tuple[int, ...]
+    __slots__ = ("group", "parts", "_hash")
+
+    def __init__(self, group: GroupSpec, parts: tuple[int, ...]):
+        self.group = group
+        self.parts = parts
+        self._hash = hash(parts)
+
+    def __eq__(self, other):
+        if other.__class__ is not Degree:
+            return NotImplemented
+        return self.parts == other.parts and (self.group is other.group
+                                              or self.group == other.group)
+
+    def __hash__(self):
+        return self._hash
 
     def __add__(self, other: "Degree") -> "Degree":
         return self._zip(operator.add, other)
@@ -91,7 +104,9 @@ class Degree:
         g = self.group
         if g is not other.group and g != other.group:
             raise ConstraintViolation("group_mismatch")
-        return Degree(g, g._mod(tuple(map(op, self.parts, other.parts))))
+        parts = tuple(map(op, self.parts, other.parts))
+        # free parts need no reduction
+        return Degree(g, g._mod(parts) if g.torsion_orders else parts)
 
     def __mul__(self, k: int) -> "Degree":
         return self.group.degree(*(a * k for a in self.parts))

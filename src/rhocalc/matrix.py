@@ -110,8 +110,13 @@ class GradedMatrix:
     def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
         if self.cols != other.rows:
             raise ShapeMismatch("inner degree tuples differ")
-        ents = [[self.ctx.sum(a * other.entries[j][l] for j, a in enumerate(row))
-                 for l in range(other.ncols)] for row in self.entries]
+        ctx = self.ctx
+        cols = [[r[l] for r in other.entries] for l in range(other.ncols)]
+        # a pair with a zero factor adds nothing; it is still multiplied
+        # (and so raises ContextMismatch) when a factor is from another context
+        ents = [[ctx.sum(a * b for a, b in zip(row, col)
+                         if a.terms and b.terms or a.ctx is not ctx or b.ctx is not ctx)
+                 for col in cols] for row in self.entries]
         return GradedMatrix(self.ctx, self.rows, other.cols,
                             self.degree + other.degree, ents)
 

@@ -10,6 +10,7 @@ solver over the monomial basis.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .algebra import Context, GradedPoly
@@ -175,7 +176,7 @@ def exactness_solve(c: GradedPoly, q: Derivation,
         out = set()
         for mu in monos:
             for sh in shifts:
-                cand = tuple(m - s for m, s in zip(mu, sh))
+                cand = tuple(map(operator.sub, mu, sh))
                 if ctx.mono_valid(cand):
                     out.add(cand)
         return out

@@ -105,6 +105,24 @@ def test_context_mismatch_raises():
         a.one() * b.one()
 
 
+def test_a_zero_factor_still_checks_the_contexts():
+    a, b = super_context(), torus_context()
+    with pytest.raises(ContextMismatch):
+        a.zero() * b.gen("u1")
+    with pytest.raises(ContextMismatch):
+        a.gen("xi") * b.zero()
+
+
+def test_gen_gives_equal_polynomials_with_distinct_term_dicts(sctx):
+    first, second = sctx.gen("xi"), sctx.gen("xi")
+    assert first == second == sctx.monomial(1, {"xi": 1})
+    assert first.terms is not second.terms
+    # a generator outside the truncation is zero every time it is asked for
+    flat = super_context(truncation=0)
+    assert flat.gen("xi").is_zero() and flat.gen("xi").is_zero()
+    assert flat.gen("x") == flat.monomial(1, {"x": 1})
+
+
 def test_homogeneous_parts(sctx, rng):
     x, xi = sctx.gen("x"), sctx.gen("xi")
     f = x + xi

@@ -61,6 +61,32 @@ def test_partial_against_kronecker(sctx):
             assert d.apply(sctx.gen(w.name)) == expected
 
 
+def test_partials_of_one_coordinate_share_their_blocks(sctx):
+    x = sctx.gen("x")
+    first = partial(sctx, "x")
+    assert first.apply(x * x * x) == (x * x).scale(3)
+    second = partial(sctx, "x")
+    assert second._blocks is first._blocks and (0, 3) in second._blocks
+    assert second.apply(x * x * x) == (x * x).scale(3)
+    assert partial(sctx, "z")._blocks is not first._blocks
+    assert partial(super_context(), "x")._blocks == {}
+
+
+def test_commutator_assembles_only_the_coordinates_that_carry_a_component(
+        monkeypatch, sctx):
+    x_field = Derivation(sctx, sctx.factor.group.zero(), {0: sctx.gen("x")}, "X")
+    euler = Derivation(sctx, sctx.factor.group.zero(), {1: sctx.gen("z")}, "E")
+    dz = partial(sctx, "z")
+    seen = []
+    apply = Derivation.apply
+    monkeypatch.setattr(Derivation, "apply",
+                        lambda self, f: seen.append(self.name) or apply(self, f))
+    assert commutator(x_field, dz).is_zero()
+    # X and d/dz have components on x and z only, not on xi or eta
+    assert sorted(seen) == ["X", "X", "d/dz", "d/dz"]
+    assert commutator(euler, dz).components == {1: -sctx.one()}
+
+
 def test_partials_twisted_commute(rng):
     # as operators: d_a d_b = rho(-|a|, -|b|) d_b d_a
     for ctx in (super_context(), torus_context(), zline_context(None)):

@@ -62,3 +62,38 @@ def test_every_keyword_default_has_a_caller():
                     if not any(_passes(c, param, pos) for c in calls.get(name, [])):
                         unused.append(f"{path.name}: {name}({param})")
     assert checked and not unused, unused
+
+
+_DICT_MUTATORS = {"update", "pop", "popitem", "clear", "setdefault"}
+
+
+def _terms_mutations(source: str) -> list[int]:
+    """Lines of source that change a dict held in an attribute named
+    `terms`: an item assigned or deleted, an in-place operator, or a
+    mutating method call."""
+    def is_terms(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "terms"
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                and is_terms(node.value)
+                or isinstance(node, ast.AugAssign) and is_terms(node.target)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _DICT_MUTATORS and is_terms(node.func.value)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_statement_changes_a_polynomials_terms():
+    # a polynomial's terms dict may be shared: the product, image, block
+    # and generator tables hand the same values to many callers, and
+    # `_clean` adopts a dict without a copy, so none is changed once built
+    assert _terms_mutations("p.terms[m] = c\ndel p.terms[m]\np.terms |= q\n"
+                            "p.terms.update(q)\nx = p.terms.pop(m)\n"
+                            "q.terms.setdefault(m, c)\np.terms.clear()\n"
+                            "for p.terms[m] in cs: pass\n") == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert _terms_mutations("p.terms = {}\nout[m] = p.terms[m]\n"
+                            "out.update(p.terms)\nc = p.terms.get(m)\n") == []
+    found = {p.name: _terms_mutations(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src" / "rhocalc").glob("*.py"))}
+    assert not any(found.values()), {k: v for k, v in found.items() if v}

@@ -208,6 +208,19 @@ def test_de_rham_basics(rng):
         assert d.apply(f * g2) == d.apply(f) * g2 + (f * d.apply(g2)).scale(w)
 
 
+def test_de_rham_builds_the_doubled_chart_once_per_chart():
+    base = super_chart()
+    first, second = de_rham(base), de_rham(base)
+    assert second.chart.ctx is first.chart.ctx
+    assert second.differential is first.differential
+    assert second.chart == first.chart and second.chart.name == "U^dR"
+    # a chart of another name over the same context gets its own
+    other = de_rham(Chart("W", base.ctx))
+    assert other.chart.name == other.chart.ctx.name == "W^dR"
+    assert other.chart.ctx is not first.chart.ctx
+    assert other.differential is not first.differential
+
+
 def test_lie_derivative_and_interior(rng):
     base = super_chart()
     bctx = base.ctx

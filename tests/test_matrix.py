@@ -15,8 +15,9 @@ from rhocalc.algebra import (Context, GradedPoly, Var, lift_poly,
                              prime_context)
 from rhocalc import cyclo, matrix
 from rhocalc.cyclo import Cyclo
-from rhocalc.errors import (GradingViolation, MixedParity, NonzeroDegree,
-                            NotInvertible, ShapeMismatch, TruncationRequired)
+from rhocalc.errors import (ContextMismatch, GradingViolation, MixedParity,
+                            NonzeroDegree, NotInvertible, ShapeMismatch,
+                            TruncationRequired)
 from rhocalc.grading import (CommutationFactor, GroupSpec, super_factor,
                              torus_factor, trivial_factor)
 from rhocalc.matrix import (GradedMatrix, _Walk, classify_tuple,
@@ -145,6 +146,28 @@ def test_grading_enforced(sctx):
     with pytest.raises(ShapeMismatch):
         GradedMatrix(sctx, (g.zero(),), (g.zero(), g.zero()), g.zero(),
                      [[sctx.one()]])
+
+
+def test_a_product_across_contexts_raises_even_when_every_pair_has_a_zero(sctx):
+    # the product skips pairs with a zero factor, but not the context check:
+    # the first pair raises, with the text of a polynomial product's check
+    other = sctx.extend([], truncation=2, name="other")
+    g = sctx.factor.group
+    degs = (g.zero(), g.degree(1))
+    zero = g.zero()
+    pairs = [(GradedMatrix.zeros(sctx, degs, degs, zero),
+              GradedMatrix.zeros(other, degs, degs, zero)),
+             (GradedMatrix.zeros(sctx, degs, degs, zero),
+              GradedMatrix.identity(other, degs)),
+             (GradedMatrix.identity(sctx, degs),
+              GradedMatrix.zeros(other, degs, degs, zero))]
+    for left, right in pairs:
+        with pytest.raises(ContextMismatch) as err:
+            left @ right
+        assert str(err.value) == f"{sctx!r} vs {other!r}"
+    # with no inner pair at all there is nothing to check, as before
+    empty = GradedMatrix.zeros(sctx, degs, (), zero) @ GradedMatrix.zeros(other, (), degs, zero)
+    assert empty.entries == ((sctx.zero(),) * 2,) * 2
 
 
 def _entry_pool(ctx, want, maxexp=2):

@@ -331,3 +331,35 @@ def test_hot_paths_leave_no_cyclic_garbage():
     # makes a closure cycle per call
     with contextlib.redirect_stdout(io.StringIO()):
         assert cyclic_garbage(cli.main, ["run", str(demo)]) == 0
+
+
+CHART_TABLES_SESSION = """
+group Z/2;
+factor super;
+chart U { base x; base z invertible; formal xi deg (1); formal eta deg (1); }
+chart V { base y; base w invertible; formal vxi deg (1); formal veta deg (1); }
+derivation Q on U deg (1) { xi -> 2 * x; }
+derivation E on U deg (0) = x * d/dx + 3 * xi * d/dxi;
+derham PT of U;
+qcheck d on derham(U);
+qcheck d_PT;
+cartan Q E on U;
+transition T : U -> V { y = x + 2 * xi * eta; w = z; vxi = xi; veta = eta; }
+transition R : V -> U { x = y - 2 * vxi * veta; z = w; xi = vxi; eta = veta; }
+jacobian T;
+bundle TB = tangent(U, V);
+cocycle TB;
+cotangent CU of U deg (1);
+schouten on CU : x_st * x, x^2;
+volume w1 on PT = 1;
+modular d_PT w1;
+"""
+
+
+def test_the_chart_tables_leave_no_cyclic_garbage():
+    # the de Rham pair kept on a chart, the unit and partial-block tables
+    # kept on a context: none refers back to its owner, so a session that
+    # fills all of them is still freed by reference count
+    reports, ok = run_session(CHART_TABLES_SESSION)
+    assert ok and len(reports) == 19
+    assert cyclic_garbage(run_session, CHART_TABLES_SESSION) == 0
