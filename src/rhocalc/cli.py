@@ -25,6 +25,38 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+# a leaf as json.dumps writes it: the C encoder, default=str
+_leaf = json.JSONEncoder(default=str).encode
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _key(k) -> str:
+    # the stdlib's key rule: str as is; int, float, bool and None as their
+    # JSON text
+    if isinstance(k, str):
+        return _ascii(k)
+    if isinstance(k, (int, float)) or k is None:
+        return _ascii(_leaf(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _json(value, pad: str) -> str:
+    """json.dumps(value, indent=2, sort_keys=True, default=str), its inner
+    lines starting with pad + two spaces.  The stdlib's indenting encoder
+    is pure Python, and its closures leave a reference cycle per call."""
+    if isinstance(value, str):
+        return _ascii(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{inner}{_key(k)}: {_json(v, inner)}"
+                              for k, v in sorted(value.items())) + pad + "}" if value else "{}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(inner + _json(v, inner) for v in value) + pad + "]" if value else "[]"
+    if isinstance(value, bool) or value is None:
+        return "null" if value is None else "true" if value else "false"
+    return int.__repr__(value) if isinstance(value, int) else _leaf(value)
+
+
 def _human(reports) -> str:
     lines = []
     for r in reports:
@@ -46,7 +78,7 @@ def main(argv=None) -> int:
         reports, ok = run_session(text)
         if args.as_json:
             doc = {"schema": 1, "reports": [r.payload() for r in reports]}
-            out = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+            out = _json(doc, "\n") + "\n"
         else:
             out = _human(reports)
     except DslSyntaxError as e:

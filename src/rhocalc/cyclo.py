@@ -6,7 +6,10 @@ one integer numerator per slot over one positive denominator in lowest
 terms (the nf_elem layout of FLINT/Antic), so a value has one form at each
 conductor.  A root of unity is at most p - 1 slots per prime power p^k of
 N, and no product divides by Phi_N.  Values at different conductors unify
-by lifting to the lcm, which moves each slot to one slot (`_slot_maps`).
+by lifting to the lcm, which moves each slot to one slot (`_slot_maps`),
+except at conductors 1 and 2: Q(zeta_1) = Q(zeta_2) = Q has one slot, so
+two such values add, multiply and compare as one integer fraction at the
+larger conductor, with no lift and no slot product.
 Values print in the power basis modulo Phi_N; `power` makes that form and
 is the one place that divides by Phi_N.
 """
@@ -228,9 +231,15 @@ def _slot_maps(d: int, n: int) -> tuple[tuple[int, ...], dict]:
 
 def _new(n: int, num, den: int) -> "Cyclo":
     # the normal form: den > 0, gcd(den, *num) == 1, so zero has den 1
-    g = math.gcd(den, *num)
     x = object.__new__(Cyclo)
     x.n = n
+    if len(num) == 1:  # Q(zeta_1) = Q(zeta_2) = Q: one integer fraction
+        p = num[0]
+        g = math.gcd(den, p)
+        x.num = (p // g,)
+        x.den = den // g
+        return x
+    g = math.gcd(den, *num)
     x.num = tuple(num) if g == 1 else tuple(a // g for a in num)
     x.den = den // g
     return x
@@ -335,7 +344,8 @@ class Cyclo:
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.num)
+        num = self.num
+        return not num[0] if len(num) == 1 else not any(num)
 
     def is_rational(self) -> bool:
         return not any(self.num[1:])
@@ -348,7 +358,12 @@ class Cyclo:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        a, b = Cyclo._unify(self, _coerce(other))
+        other = _coerce(other)
+        if len(self.num) == 1 == len(other.num):  # rationals: lcm(1, 2) = max
+            (p,), (q,) = self.num, other.num
+            n = self.n if self.n > other.n else other.n
+            return _new(n, (p * other.den + q * self.den,), self.den * other.den)
+        a, b = Cyclo._unify(self, other)
         da, db = a.den, b.den
         if da == db:
             return _new(a.n, [x + y for x, y in zip(a.num, b.num)], da)
@@ -357,7 +372,10 @@ class Cyclo:
     __radd__ = __add__
 
     def __neg__(self):
-        return _new(self.n, [-a for a in self.num], self.den)
+        num = self.num
+        if len(num) == 1:
+            return _new(self.n, (-num[0],), self.den)
+        return _new(self.n, [-a for a in num], self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -370,7 +388,13 @@ class Cyclo:
         if self.n == 1 or other.n == 1:  # scale; the lcm is the other's conductor
             r, x = (self, other) if self.n == 1 else (other, self)
             p, q = r.num[0], r.den
-            return x if p == q == 1 else _new(x.n, [p * a for a in x.num], q * x.den)
+            if p == q == 1:
+                return x
+            if len(x.num) == 1:
+                return _new(x.n, (p * x.num[0],), q * x.den)
+            return _new(x.n, [p * a for a in x.num], q * x.den)
+        if len(self.num) == 1 == len(other.num):  # two rationals at conductor 2
+            return _new(2, (self.num[0] * other.num[0],), self.den * other.den)
         a, b = Cyclo._unify(self, other)
         return _new(a.n, _product(a.n, a.num, b.num), a.den * b.den)
 
@@ -380,6 +404,9 @@ class Cyclo:
         if self.is_zero():
             raise NotInvertible("zero has no inverse")
         n, num = self.n, self.num
+        if len(num) == 1:
+            p = num[0]
+            return _new(n, (self.den if p > 0 else -self.den,), abs(p))
         if self.is_rational():
             rest, norm = (1,) + (0,) * (len(num) - 1), num[0]
         else:
@@ -424,6 +451,8 @@ class Cyclo:
             other = Cyclo.rational(other)
         if not isinstance(other, Cyclo):
             return NotImplemented
+        if len(self.num) == 1 == len(other.num):  # a lift moves slot 0 to slot 0
+            return self.num == other.num and self.den == other.den
         a, b = Cyclo._unify(self, other)
         return a.num == b.num and a.den == b.den
 

@@ -473,3 +473,88 @@ def test_integer_core_matches_the_fraction_oracle_bytes():
         _assert_same(got, want, ((a, fa), (b, fb)))
         if got.n <= 24 and max(map(abs, got.num), default=0) < 10 ** 12:
             pool[rng.randrange(len(pool))] = (got, want)
+
+
+# -- one slot: Q(zeta_1) = Q(zeta_2) = Q ----------------------------------------------
+
+def _bytes(x):
+    return x.n, x.num, x.den, x.text()
+
+
+def test_rationals_at_conductors_1_and_2_combine_at_the_larger():
+    half, minus = Cyclo.rational(Fraction(1, 2)), Cyclo.root_of_unity(2)
+    assert (half.n, minus.n) == (1, 2)
+    for got in (half + minus, minus + half):
+        assert _bytes(got) == (2, (-1,), 2, "-1/2")
+    for got in (half * minus, minus * half):
+        assert _bytes(got) == (2, (-1,), 2, "-1/2")
+    assert _bytes(half + half) == (1, (1,), 1, "1")
+    assert _bytes(minus * minus) == (2, (1,), 1, "1")
+    assert _bytes(-minus) == (2, (1,), 1, "1")
+    # a sum that cancels keeps the larger conductor, in lowest terms
+    zero = Cyclo(2, [Fraction(3, 4)]) + Cyclo.rational(Fraction(-3, 4))
+    assert _bytes(zero) == (2, (0,), 1, "0") and zero.is_zero()
+    assert _bytes(Cyclo(2, [Fraction(5, 6)]) - Cyclo(2, [Fraction(1, 3)])) == (2, (1,), 2, "1/2")
+    assert Cyclo(2, [Fraction(-6, 4)]) == Cyclo.rational(Fraction(-3, 2))
+    assert Cyclo(2, [1]) != Cyclo.rational(2) and Cyclo(2, [3]) == 3
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_a_rational_at_conductor_2_times_a_wider_value_lifts(m):
+    rng = random.Random(f"one slot times {m}")
+    r = Cyclo(2, [Fraction(-5, 3)])
+    big = math.lcm(2, m)
+    for _ in range(5):
+        x = _random_element(rng, m)
+        want = _bytes(r.lift(big) * x.lift(big))
+        assert _bytes(r * x) == want and _bytes(x * r) == want
+        assert _bytes(r + x) == _bytes(r.lift(big) + x.lift(big))
+
+
+def test_a_product_hands_back_an_operand_only_for_a_conductor_1_one():
+    one = Cyclo.one()
+    q1, q2 = Cyclo.rational(Fraction(2, 3)), Cyclo(2, [Fraction(2, 3)])
+    one2, z8 = Cyclo(2, [1]), Cyclo.root_of_unity(8, 3)
+    for x in (one, q1, q2, one2, z8):
+        assert one * x is x
+    for x in (q2, one2, z8):
+        assert x * one is x
+    # a conductor-1 left factor scales the right one, so q1 * one is new
+    assert q1 * one is not q1 and q1 * one == q1
+    for a, b in ((q1, one2), (one2, q1), (one2, q2), (q2, one2), (one2, one2)):
+        got = a * b
+        assert got is not a and got is not b
+        assert (got.n, got.as_fraction()) == (2, a.as_fraction() * b.as_fraction())
+
+
+def test_a_super_de_rham_solve_neither_lifts_nor_runs_the_slot_kernel(monkeypatch):
+    # the super factor's signs are stored at conductor 2 and the
+    # coefficients at conductor 1, one slot each: nothing lifts to unify
+    # them and no product goes through the tensor-slot kernel
+    from conftest import random_homogeneous
+    from rhocalc.geometry import de_rham, make_chart
+    from rhocalc.grading import super_factor
+    from rhocalc.volume import exactness_solve
+    fac = super_factor()
+    g = fac.group
+    dr = de_rham(make_chart("U", fac, [("x", g.zero(), False), ("z", g.zero(), True),
+                                        ("xi", g.degree(1)), ("eta", g.degree(1))]))
+    d = dr.differential
+    rng = random.Random("a super de Rham solve")
+    problems = [d.apply(random_homogeneous(dr.chart.ctx, rng, terms=3)) for _ in range(4)]
+    counts = {"unify lifts": 0, "products": 0}
+    unify, product = Cyclo._unify, cyclo._product
+
+    def counting_unify(a, b):
+        counts["unify lifts"] += a.n != b.n
+        return unify(a, b)
+
+    def counting_product(n, a, b):
+        counts["products"] += 1
+        return product(n, a, b)
+
+    monkeypatch.setattr(Cyclo, "_unify", staticmethod(counting_unify))
+    monkeypatch.setattr(cyclo, "_product", counting_product)
+    verdicts = [exactness_solve(c, d).verdict for c in problems if not c.is_zero()]
+    assert len(verdicts) >= 3 and set(verdicts) == {"exact"}
+    assert counts == {"unify lifts": 0, "products": 0}

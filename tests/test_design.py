@@ -97,3 +97,33 @@ def test_no_statement_changes_a_polynomials_terms():
     found = {p.name: _terms_mutations(p.read_text(encoding="utf-8"))
              for p in sorted((ROOT / "src" / "rhocalc").glob("*.py"))}
     assert not any(found.values()), {k: v for k, v in found.items() if v}
+
+
+def _cyclo_allocations(source: str) -> list[str]:
+    """The enclosing function (or '<module>') of each `object.__new__(Cyclo)`
+    in source."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "__new__" and child.args
+                    and getattr(child.args[0], "id", getattr(child.args[0], "attr", None)) == "Cyclo"):
+                found.append(where)
+            visit(child, inner)
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_a_cyclo_is_allocated_only_in_its_normal_form_constructor():
+    # `cyclo._new` is the one home of the (n, num, den) normal form: every
+    # value, the one-slot rationals included, is made and reduced there
+    assert _cyclo_allocations("x = object.__new__(Cyclo)\n"
+                              "def f():\n    return object.__new__(cyclo.Cyclo)\n"
+                              "class A:\n    def g(self):\n        Cyclo.__new__(Cyclo)\n"
+                              "def h():\n    return object.__new__(GradedPoly)\n") == [
+        "<module>", "f", "g"]
+    found = {p.name: _cyclo_allocations(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src" / "rhocalc").glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {"cyclo.py": ["_new"]}

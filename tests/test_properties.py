@@ -327,10 +327,9 @@ def test_hot_paths_leave_no_cyclic_garbage():
     demo = Path(__file__).resolve().parents[1] / "sessions" / "demo.rc"
     assert cyclic_garbage(run_session, demo.read_text(encoding="utf-8")) == 0
     assert cyclic_garbage(run_session, "scenarios all;") == 0
-    # text mode only: the stdlib's indenting JSON encoder behind --json
-    # makes a closure cycle per call
     with contextlib.redirect_stdout(io.StringIO()):
         assert cyclic_garbage(cli.main, ["run", str(demo)]) == 0
+        assert cyclic_garbage(cli.main, ["run", str(demo), "--json"]) == 0
 
 
 CHART_TABLES_SESSION = """
