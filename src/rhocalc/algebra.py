@@ -29,8 +29,9 @@ from .grading import EVEN, ODD, CommutationFactor, Degree
 
 BASE = "base"
 _MISSING = object()     # a table miss; None is a stored answer
-# entries a context's product table keeps at most (about 215 bytes each):
-# twenty times the largest table a benchmark task builds (792 entries)
+# entries each table of a context or a derivation keeps at most: twenty
+# times the largest product table a benchmark task builds (792 entries,
+# about 215 bytes each)
 PRODUCT_TABLE_CAP = 1 << 14
 
 
@@ -94,13 +95,15 @@ class Context:
                          math.inf if v.cap is None else v.cap)
                         for i, v in enumerate(self.variables)
                         if not v.invertible or v.cap is not None]
+        # monomial -> degree, and (m1, m2) -> mono_mul's answer
         self._degree_cache: dict[tuple[int, ...], object] = {}
         self._products: dict[tuple, tuple[int, tuple[int, ...]] | None] = {}
         # name -> unit monomial of the variable, None when it is not valid
         self._units: dict[str, tuple[int, ...] | None] = {}
-        # a -> the Leibniz block table that every d/dx^a of this context
-        # shares (see `derivation.partial`); plain dicts, no back-reference
-        self._partial_blocks: dict[int, dict] = {}
+        # a -> (Leibniz block table, term kernel) that every d/dx^a of this
+        # context shares (see `derivation.partial`); plain dicts, no
+        # back-reference
+        self._partials: dict[int, tuple[dict, dict]] = {}
 
     # -- lookups -------------------------------------------------------------
 
@@ -139,7 +142,8 @@ class Context:
                 for i, p in enumerate(v.degree.parts):
                     acc[i] += e * p
         d = Degree(g, g._mod(tuple(acc)))
-        self._degree_cache[mono] = d
+        if len(self._degree_cache) < PRODUCT_TABLE_CAP:
+            self._degree_cache[mono] = d
         return d
 
     def mono_valid(self, mono: tuple[int, ...]) -> bool:

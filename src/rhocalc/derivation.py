@@ -2,23 +2,33 @@
 
 A derivation is determined by its values on the generators (termwise action
 on the coefficient-times-monomial decomposition), so it is stored as a finite
-component map together with its degree.  Application implements the twisted
-Leibniz rule exactly as one term kernel: each term of the block X(x_a^e),
-built once per (a, e) and kept on the derivation (for a coordinate partial,
-on its context, shared by every d/dx^a there), goes between the
-monomial's prefix and suffix by two `mono_mul` calls (product-table reads
-after a pair's first time in the context) into one dict, with integer
-phases, making the scalar products of prefix * block * suffix (one root per
-reordering), so no conductor moves.  `image(m)`, X applied to a unit
-monomial m, is computed by `apply` once per derivation and kept in an image
-table beside the blocks (each table up to `algebra.PRODUCT_TABLE_CAP`
-entries): the exactness solver asks for Q(m) of the same span monomials on
-every solve.
+component map together with its degree.  It keeps four tables, each up to
+`algebra.PRODUCT_TABLE_CAP` entries and each entry read-only once built:
+
+- blocks: X(x_a^e), one Leibniz block per (a, e);
+- the term kernel: for a unit monomial m, the terms of the twisted Leibniz
+  rule on m, in order and unmerged.  Each term of a block goes between m's
+  prefix and suffix by two `mono_mul` calls, with integer phases, and its
+  scalar is root(k) times the block coefficient times one root per
+  reordering, so no summed phase moves a conductor;
+- images: X(m), for the exactness solver, which asks for Q(m) of the same
+  span monomials on every solve;
+- sources: the valid monomials m whose X(m) may hold a given monomial, for
+  the exactness closure.
+
+A coordinate partial keeps its blocks and kernel on its context, shared by
+every d/dx^a there.  `apply(f)` adds coef * s through `add_term` for each
+kernel term (monomial, s) of each monomial of f, the same sequence of
+additions the Leibniz loop made.  Only the grouping of each product
+coef * root(k) * (block coefficient and reordering roots) changed, and a
+`Cyclo` product is stored at the lcm of its factors' conductors in a unique
+normal form, so every output byte is the same.
 The commutator of two derivations is again a derivation, computed on
 generators."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -51,8 +61,10 @@ class Derivation:
                     f"{name}({ctx.variables[a].name}) must have degree {want.text()}")
             comps[a] = p
         self.components = comps
-        self._blocks: dict = {}     # (a, e) -> X(x_a^e), read-only once built
-        self._images: dict = {}     # m -> X(m), read-only once built
+        self._blocks: dict = {}     # (a, e) -> X(x_a^e)
+        self._kernel: dict = {}     # m -> tuple of X's terms (monomial, scalar) on m
+        self._images: dict = {}     # m -> X(m)
+        self._sources: dict = {}    # mu -> tuple of the m whose X(m) may hold mu
 
     @cached_property
     def _row(self) -> list[int]:    # rho(|X|, |x_b|) = zeta_N^row[b]
@@ -80,41 +92,80 @@ class Derivation:
     def apply(self, f: GradedPoly) -> GradedPoly:
         if f.ctx != self.ctx:
             raise ContextMismatch("derivation applied across contexts")
-        ctx = self.ctx
-        root = ctx.factor.root
+        kernel = self._kernel
         # terms, not a Context.sum: that would build a polynomial per term
         out: dict = {}
         for mono, coef in f.terms.items():
-            k = 0  # rho(|X|, degree of the factors left of x_a) = zeta_N^k
-            for a, e in enumerate(mono):
-                comp = self.components.get(a) if e else None
-                if comp is not None:
-                    c = coef * root(k) if k else coef
-                    pre = mono[:a] + (0,) * (ctx.nvars - a)
-                    suf = (0,) * (a + 1) + mono[a + 1:]
-                    block = self._blocks.get((a, e))
-                    if block is None:
-                        block = self._power_derivative(a, e, comp)
-                        if len(self._blocks) < PRODUCT_TABLE_CAP:
-                            self._blocks[a, e] = block
-                    for m, v in block.items():
-                        hit = self._sandwich(pre, m, v, suf)
-                        if hit is not None:
-                            add_term(out, hit[0], c * hit[1])
-                k = (k + e * self._row[a]) % ctx.conductor
+            terms = kernel.get(mono)
+            if terms is None:
+                terms = self._terms(mono)
+            for m, s in terms:
+                add_term(out, m, coef * s)
         # mono_mul kept only valid monomials and add_term dropped every zero
-        return GradedPoly._clean(ctx, out)
+        return GradedPoly._clean(self.ctx, out)
+
+    def _terms(self, mono) -> tuple:
+        """X's Leibniz terms on the unit monomial mono, (monomial, scalar)
+        in the order `apply` adds them; stored in the kernel, which stops
+        growing at PRODUCT_TABLE_CAP entries."""
+        ctx = self.ctx
+        root = ctx.factor.root
+        n = ctx.conductor
+        out = []
+        k = 0  # rho(|X|, degree of the factors left of x_a) = zeta_N^k
+        for a, e in enumerate(mono):
+            if not e:
+                continue
+            comp = self.components.get(a)
+            if comp is not None:
+                pre = mono[:a] + (0,) * (ctx.nvars - a)
+                suf = (0,) * (a + 1) + mono[a + 1:]
+                block = self._blocks.get((a, e))
+                if block is None:
+                    block = self._power_derivative(a, e, comp)
+                    if len(self._blocks) < PRODUCT_TABLE_CAP:
+                        self._blocks[a, e] = block
+                for m, v in block.items():
+                    hit = self._sandwich(pre, m, v, suf)
+                    if hit is not None:
+                        out.append((hit[0], root(k) * hit[1] if k else hit[1]))
+            k = (k + e * self._row[a]) % n
+        terms = tuple(out)
+        if len(self._kernel) < PRODUCT_TABLE_CAP:
+            self._kernel[mono] = terms
+        return terms
 
     def image(self, m) -> GradedPoly:
-        """X applied to the unit monomial m: `apply` the first time, then a
-        read of the image table, which stops growing at PRODUCT_TABLE_CAP
-        entries (past that, each miss is recomputed and not stored)."""
+        """X applied to the unit monomial m: `apply` (a read of the term
+        kernel after m's first time) once, then a read of the image table,
+        which stops growing at PRODUCT_TABLE_CAP entries (past that, each
+        miss is recomputed and not stored)."""
         img = self._images.get(m)
         if img is None:
             img = self.apply(GradedPoly(self.ctx, {m: Cyclo.one()}))
             if len(self._images) < PRODUCT_TABLE_CAP:
                 self._images[m] = img
         return img
+
+    @cached_property
+    def _shifts(self) -> tuple:
+        """mu - m for each way X(m) can reach a monomial mu: one occurrence
+        of x_a replaced by a term t of X^a shifts m by t - e_a."""
+        return tuple(dict.fromkeys(
+            tm[:a] + (tm[a] - 1,) + tm[a + 1:]
+            for a, comp in self.components.items() for tm in comp.terms))
+
+    def sources(self, mu) -> tuple:
+        """The valid monomials mu - shift, the only m whose X(m) may hold
+        mu; computed once per monomial, then read from a table that stops
+        growing at PRODUCT_TABLE_CAP entries."""
+        hit = self._sources.get(mu)
+        if hit is None:
+            cands = (tuple(map(operator.sub, mu, sh)) for sh in self._shifts)
+            hit = tuple(filter(self.ctx.mono_valid, cands))
+            if len(self._sources) < PRODUCT_TABLE_CAP:
+                self._sources[mu] = hit
+        return hit
 
     def _sandwich(self, lo, m, c, hi):
         """lo * (c m) * hi as (monomial, coefficient), None if it vanishes;
@@ -184,13 +235,14 @@ class Derivation:
 
 def partial(ctx: Context, name: str) -> Derivation:
     """The coordinate derivative: unique derivation with d(x^b) = delta_ab.
-    Every d/dx^a of one context shares the block table kept on the context,
-    so each block X(x_a^e) is built once per context."""
+    Every d/dx^a of one context shares the block and kernel tables kept on
+    the context, so each block X(x_a^e) and each monomial's terms are built
+    once per context."""
     a = ctx.index(name)
     d = Derivation(ctx, -ctx.variables[a].degree, {}, f"d/d{name}")
     d.components[a] = ctx.one()     # degree 0 = |d/dx^a| + |x^a|
     d._row = [-k % ctx.conductor for k in ctx._pair[a]]   # rho(-|x_a|, |x_b|)
-    d._blocks = ctx._partial_blocks.setdefault(a, {})
+    d._blocks, d._kernel = ctx._partials.setdefault(a, ({}, {}))
     return d
 
 

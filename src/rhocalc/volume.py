@@ -10,7 +10,6 @@ solver over the monomial basis.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .algebra import Context, GradedPoly
@@ -150,12 +149,17 @@ def exactness_solve(c: GradedPoly, q: Derivation,
     and a failed solve certifies non-exactness; if the closure blows past
     `closure_cap` or its 64 rounds, a bounded-span solve may still certify
     exactness, else the result is inconclusive.  An `exact` certificate h is
-    re-verified as Q(h) == c before it is returned.  The closure and the
-    solves read Q(m) from `q.image`, so each span monomial is applied once
-    per derivation, not once per solve.  No candidate's degree is tested:
-    c (`degree_of` raises otherwise) and Q's components are homogeneous, so
-    each expanded monomial has degree |c|, each shift |Q|, and each
-    candidate |c| - |Q|, since `mono_degree` is additive.
+    re-verified as Q(h) == c before it is returned.  Every step reads the
+    tables Q keeps (see `derivation`): the closedness check and the
+    re-verification apply Q through its term kernel, the closure takes each
+    monomial's candidate preimages from `q.sources` and each candidate's
+    image from `q.image`, and the solves read `q.image` too.  So a second
+    solve with one differential makes no monomial product and tests no
+    monomial's validity, unless it falls back to the bounded span.  No
+    candidate's degree is tested: c (`degree_of` raises otherwise) and Q's
+    components are homogeneous, so each expanded monomial has degree |c|,
+    each shift |Q|, and each candidate |c| - |Q|, since `mono_degree` is
+    additive.
     """
     ctx = c.ctx
     if q.ctx != ctx:
@@ -165,30 +169,14 @@ def exactness_solve(c: GradedPoly, q: Derivation,
     if not q.apply(c).is_zero():
         raise NotClosed("the cochain is not closed")
     hdeg = c.degree_of() - q.degree
-    shifts = []
-    for a, comp in q.components.items():
-        ea = [0] * ctx.nvars
-        ea[a] = 1
-        for tm in comp.terms:
-            shifts.append(tuple(t - e for t, e in zip(tm, ea)))
-
-    def candidates(monos):
-        out = set()
-        for mu in monos:
-            for sh in shifts:
-                cand = tuple(map(operator.sub, mu, sh))
-                if ctx.mono_valid(cand):
-                    out.add(cand)
-        return out
-
     # semi-naive closure: each round expands only the image monomials that
-    # no earlier round expanded, since candidates() is a union over them
+    # no earlier round expanded, since the candidates are a union over them
     span: set = set()
     frontier = set(c.terms)
     expanded = set(frontier)
     stopped_by = "rounds"
     for _ in range(64):
-        fresh = candidates(frontier) - span
+        fresh = {m for mu in frontier for m in q.sources(mu)} - span
         if not fresh:
             stopped_by = None
             break

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import rhocalc.algebra as algebra
 from rhocalc.algebra import PRODUCT_TABLE_CAP, Context, GradedPoly, Var, adjoin_eps, \
     lift_poly, poly_text, prime_context, rho_commutator, restrict_poly, substitute
 from rhocalc.cyclo import Cyclo
@@ -443,6 +444,21 @@ def test_context_rejects_a_negative_truncation():
     fac = super_factor()
     with pytest.raises(ConstraintViolation):
         Context(fac, [Var("xi", fac.group.degree(1), "odd")], truncation=-1)
+
+
+def test_degree_cache_stops_growing_at_its_cap(monkeypatch):
+    # (1+x+y+z)^45 has 17,296 terms, and an unbounded cache kept a degree
+    # for each; past the cap a degree is computed and not stored
+    monkeypatch.setattr(algebra, "PRODUCT_TABLE_CAP", 40)
+    g = GroupSpec(1)
+    ctx = Context(trivial_factor(g), [Var(v, g.zero(), "base") for v in "xyz"])
+    p = (ctx.one() + ctx.gen("x") + ctx.gen("y") + ctx.gen("z")) ** 6
+    assert len(p.terms) == 84
+    for _ in range(2):
+        assert p.degrees() == {g.zero()}
+        assert len(ctx._degree_cache) == 40
+    assert all(ctx.mono_degree(m) == g.zero() for m in p.terms)
+    assert len(ctx._degree_cache) == 40
 
 
 def test_product_table_stops_growing_at_its_cap():

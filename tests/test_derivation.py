@@ -44,6 +44,36 @@ def test_image_table_stops_growing_at_the_cap(monkeypatch, sctx, rng):
     assert list(x._images) == monos[:5]
 
 
+def test_kernel_and_source_tables_stop_growing_at_the_cap(monkeypatch, sctx, rng):
+    monkeypatch.setattr(derivation, "PRODUCT_TABLE_CAP", 5)
+    x = random_derivation(sctx, rng, degree=sctx.factor.group.degree(1))
+    monos = all_monomials(sctx, maxexp=2)
+    fresh = Derivation(sctx, x.degree, x.components)
+    for _ in range(2):
+        for m in monos:
+            f = GradedPoly(sctx, {m: Cyclo.rational(3)})
+            assert x.apply(f) == fresh.apply(f)
+            assert x.sources(m) == fresh.sources(m)
+    assert list(x._kernel) == monos[:5]
+    assert list(x._sources) == monos[:5]
+
+
+def test_sources_hold_every_preimage_of_a_monomial(rng):
+    # mu in X(m).terms only if m is among sources(mu): the exactness
+    # closure finds every possible preimage there
+    for ctx in (super_context(), torus8_context(), zline_context(truncation=4)):
+        x = random_derivation(ctx, rng, terms=3)
+        while x.is_zero():
+            x = random_derivation(ctx, rng, terms=3)
+        monos = all_monomials(ctx, maxexp=2)
+        for m in monos:
+            for mu in x.image(m).terms:
+                assert m in x.sources(mu)
+        for mu in monos:
+            assert all(ctx.mono_valid(m) for m in x.sources(mu))
+            assert len(set(x.sources(mu))) == len(x.sources(mu))
+
+
 def test_partial_on_powers(sctx):
     x, xi, eta = sctx.gen("x"), sctx.gen("xi"), sctx.gen("eta")
     assert partial(sctx, "x").apply(x * x) == x.scale(2)
@@ -70,6 +100,19 @@ def test_partials_of_one_coordinate_share_their_blocks(sctx):
     assert second.apply(x * x * x) == (x * x).scale(3)
     assert partial(sctx, "z")._blocks is not first._blocks
     assert partial(super_context(), "x")._blocks == {}
+
+
+def test_partials_of_one_coordinate_share_one_kernel(sctx):
+    x, xi = sctx.gen("x"), sctx.gen("xi")
+    f = x * x * xi + x
+    first = partial(sctx, "x")
+    want = first.apply(f)
+    second = partial(sctx, "x")
+    assert second._kernel is first._kernel
+    assert set(second._kernel) == set(f.terms)
+    assert_same_bytes(second.apply(f), want)
+    assert partial(sctx, "xi")._kernel is not first._kernel
+    assert partial(super_context(), "x")._kernel == {}
 
 
 def test_commutator_assembles_only_the_coordinates_that_carry_a_component(
@@ -203,6 +246,28 @@ def test_kernel_matches_leibniz_oracle_bytes(rng):
             for _ in range(2):
                 f = random_poly(ctx, rng, terms=5, maxexp=3)
                 assert_same_bytes(x.apply(f), leibniz_apply(x, f))
+
+
+@pytest.mark.parametrize("make", [super_context, torus8_context,
+                                  lambda: zline_context(truncation=4)])
+def test_warm_and_cold_kernels_match_the_leibniz_oracle_bytes(make, rng):
+    ctx = make()
+    root = ctx.factor.root
+    for _ in range(4):
+        x = random_derivation(ctx, rng, terms=3).scale(root(rng.randrange(ctx.conductor)))
+        shared = random_poly(ctx, rng, terms=4, maxexp=2).scale(
+            root(rng.randrange(ctx.conductor)))
+        polys = [shared + random_poly(ctx, rng, terms=2, maxexp=2),
+                 shared * random_poly(ctx, rng, terms=2, maxexp=1), shared]
+        for f in polys:
+            cold = Derivation(ctx, x.degree, x.components).apply(f)
+            warm = x.apply(f)
+            again = x.apply(f)      # every monomial of f is in the kernel now
+            want = leibniz_apply(x, f)
+            for got in (cold, warm, again):
+                assert_same_bytes(got, want)
+        assert set(x._kernel) == {m for f in polys for m in f.terms}
+        assert all(type(t) is tuple for terms in x._kernel.values() for t in terms)
 
 
 def test_each_leibniz_block_is_built_once_per_derivation(rng, monkeypatch):

@@ -1,4 +1,5 @@
-"""Design rules the source keeps, checked on its syntax tree."""
+"""Design rules the source keeps, checked on its syntax tree and, for the
+shared tables, on what they hold."""
 
 import ast
 from pathlib import Path
@@ -127,3 +128,81 @@ def test_a_cyclo_is_allocated_only_in_its_normal_form_constructor():
     found = {p.name: _cyclo_allocations(p.read_text(encoding="utf-8"))
              for p in sorted((ROOT / "src" / "rhocalc").glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {"cyclo.py": ["_new"]}
+
+
+_TABLES = {"_products", "_degree_cache", "_blocks", "_images", "_kernel", "_sources"}
+
+
+def _unguarded_table_stores(source: str) -> list[int]:
+    """Lines of source that store an item into an attribute named as one
+    of the bounded tables (or call `update`/`setdefault` on it) outside the
+    body of an `if` whose test reads PRODUCT_TABLE_CAP."""
+    def is_table(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr in _TABLES
+
+    def reads_cap(test) -> bool:
+        return any(getattr(n, "id", getattr(n, "attr", None)) == "PRODUCT_TABLE_CAP"
+                   for n in ast.walk(test))
+    lines = []
+
+    def visit(node, guarded: bool):
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and is_table(node.value)
+                or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("update", "setdefault") and is_table(node.func.value)):
+            if not guarded:
+                lines.append(node.lineno)
+        if isinstance(node, ast.If):
+            visit(node.test, guarded)
+            for child in node.body:
+                visit(child, guarded or reads_cap(node.test))
+            for child in node.orelse:
+                visit(child, guarded)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, guarded)
+    visit(ast.parse(source), False)
+    return sorted(lines)
+
+
+def test_every_table_store_is_bounded_by_the_cap():
+    # each monomial table of a context or a derivation stops growing at
+    # PRODUCT_TABLE_CAP entries: an unbounded one grows with the input
+    assert _unguarded_table_stores(
+        "self._kernel[m] = t\n"
+        "if len(self._kernel) < PRODUCT_TABLE_CAP:\n    self._images[m] = t\n"
+        "else:\n    self._sources[m] = t\n"
+        "if x:\n    self._blocks[a, e] = b\n"
+        "ctx._degree_cache.update(d)\n"
+        "if len(t) < algebra.PRODUCT_TABLE_CAP:\n    self._products[k] = r\n"
+        "if n < PRODUCT_TABLE_CAP:\n    for m in ms:\n        d._kernel[m] = ()\n"
+        "self._units[name] = m\nx = self._products[k]\n") == [1, 5, 7, 8]
+    found = {p.name: _unguarded_table_stores(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src" / "rhocalc").glob("*.py"))}
+    assert not any(found.values()), {k: v for k, v in found.items() if v}
+
+
+def test_kernel_and_source_entries_are_tuples():
+    # a derivation hands the same kernel and source entries to every
+    # caller (and a coordinate partial's kernel to every partial of its
+    # context), so an entry is a tuple that no caller can change
+    import random
+
+    from conftest import random_homogeneous
+    from rhocalc.geometry import de_rham, make_chart
+    from rhocalc.grading import super_factor
+    from rhocalc.volume import exactness_solve
+    fac = super_factor()
+    g = fac.group
+    dr = de_rham(make_chart("U", fac, [("x", g.zero(), False), ("z", g.zero(), True),
+                                        ("xi", g.degree(1))]))
+    d = dr.differential
+    rng = random.Random("kernel and source entries")
+    for _ in range(3):
+        c = d.apply(random_homogeneous(dr.chart.ctx, rng, terms=3))
+        if not c.is_zero():
+            exactness_solve(c, d)
+    assert d._kernel and d._sources
+    assert all(type(terms) is tuple and all(type(t) is tuple for t in terms)
+               for terms in d._kernel.values())
+    assert all(type(ms) is tuple for ms in d._sources.values())

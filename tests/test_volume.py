@@ -12,7 +12,7 @@ from rhocalc.cyclo import Cyclo
 from rhocalc.derivation import Derivation, commutator, is_homological, partial
 from rhocalc.errors import (CertificateMismatch, NotClosed, NotHomological,
                             NotInvertibleDensity, OverlapMismatch)
-from rhocalc.geometry import Atlas, Chart, TransitionMap, make_chart
+from rhocalc.geometry import Atlas, Chart, TransitionMap, de_rham, make_chart
 from rhocalc.grading import super_factor
 from rhocalc.volume import (VolumeForm, divergence, divergence_on_chart,
                             exactness_solve, jacobian_berezinian,
@@ -267,6 +267,27 @@ def test_exactness_applies_q_once_per_monomial(monkeypatch):
     again = exactness_solve(c, q)
     assert calls == [c, res.certificate]
     assert again.payload() == res.payload()
+
+
+def test_a_second_de_rham_solve_reads_only_the_tables_of_q(monkeypatch, rng):
+    # the closedness check, the closure, the solves and the re-verification
+    # all read Q's kernel, source and image tables once they are built
+    d = de_rham(super_chart("D")).differential
+    ctx = d.ctx
+    problems = [d.apply(random_homogeneous(ctx, rng, terms=6)) for _ in range(6)]
+    problems = [c for c in problems if not c.is_zero()]
+    first = [exactness_solve(c, d).payload() for c in problems]
+    assert len(problems) >= 4 and {p["verdict"] for p in first} == {"exact"}
+    counts = {"mono_mul": 0, "mono_valid": 0}
+    for name in counts:
+        method = getattr(Context, name)
+
+        def counting(self, *args, name=name, method=method):
+            counts[name] += 1
+            return method(self, *args)
+        monkeypatch.setattr(Context, name, counting)
+    assert [exactness_solve(c, d).payload() for c in problems] == first
+    assert counts == {"mono_mul": 0, "mono_valid": 0}
 
 
 def test_two_exactness_solves_leave_no_cyclic_garbage():
